@@ -1,10 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the coset-enumeration kernel: compiled vs pure-Python backend.
+"""Benchmark the coset-enumeration kernel on classical presentations.
 
-Runs a fixed set of classical enumerations with the current backend, then
-re-runs them in a subprocess with PRODQUOT_NO_JIT=1 and prints a comparison
-table.  Fails (exit 1) if any index is wrong or the two backends produce
-different coset tables.
+Times each case (best of --repeats) and checks its index and the sha256 of its
+standardized table against frozen values.  Exits 1 on any mismatch.
 
 Usage:  python3 benchmarks/bench_enumeration.py [--repeats N] [--json]
 """
@@ -15,15 +13,24 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
 
-from prodquot import backend
 from prodquot.coset import todd_coxeter
 from prodquot.presentation import presentation
 
-# (name, generators, relators, subgroup words, expected index)
+_COX_RELATORS = [
+    "a^6",
+    "b^6",
+    "a*b*a*b",
+    "a^2*b^2*a^2*b^2",
+    "a^3*b^3*a^3*b^3*a^3*b^3*a^3*b^3*a^3*b^3",
+]
+
+# (name, generators, relators, subgroup words, expected index,
+#  sha256 of the table rows as compact JSON)
 CASES = [
     (
         "triangle-2-3-7-mod-commutator-4",
@@ -36,6 +43,7 @@ CASES = [
         ],
         [],
         168,
+        "700cdd329a7dfdb274083ed2941c8f979573b836c5070b32f6b45a5ab0c0e8ae",
     ),
     (
         "fibonacci-2-7",
@@ -51,32 +59,23 @@ CASES = [
         ],
         [],
         29,
+        "e169ea6d926da4e8f39e12a892c755cf0be87a20067532a86dcf366a71d72a31",
     ),
     (
         "coxeter-6-6-order-3000",
         ["a", "b"],
-        [
-            "a^6",
-            "b^6",
-            "a*b*a*b",
-            "a^2*b^2*a^2*b^2",
-            "a^3*b^3*a^3*b^3*a^3*b^3*a^3*b^3*a^3*b^3",
-        ],
+        _COX_RELATORS,
         [],
         3000,
+        "73ca6105cc38978c14f841e9c220aaba725f086086fe2a9caa9084d567fe3ea0",
     ),
     (
         "coxeter-6-6-index-500",
         ["a", "b"],
-        [
-            "a^6",
-            "b^6",
-            "a*b*a*b",
-            "a^2*b^2*a^2*b^2",
-            "a^3*b^3*a^3*b^3*a^3*b^3*a^3*b^3*a^3*b^3",
-        ],
+        _COX_RELATORS,
         ["a"],
         500,
+        "0bb83fae7e9ed7ff64f6534a5681862ccc3a8eb1dd0c766d232a3823ed48bb35",
     ),
     (
         "8-7-with-2-3-order-10752",
@@ -84,6 +83,7 @@ CASES = [
         ["a^8", "b^7", "a*b*a*b", "a^-1*b*a^-1*b*a^-1*b"],
         [],
         10752,
+        "eeff6ba40469da692023fb1e917d70fe2b616a666c5f21d057960041c684f0cd",
     ),
 ]
 
@@ -91,75 +91,64 @@ MAX_COSETS = 2_000_000
 
 
 def run_cases(repeats: int) -> list[dict]:
-    backend.warmup()
     out = []
-    for name, gens, rels, sub, expected in CASES:
+    for name, gens, rels, sub, expected, digest in CASES:
         p = presentation(gens, rels)
         sub_words = [p.word(w) for w in sub]
         best = float("inf")
-        table = None
         for _ in range(repeats):
             start = time.perf_counter()
             table = todd_coxeter(p, sub_words, max_cosets=MAX_COSETS)
             best = min(best, time.perf_counter() - start)
+        text = json.dumps(table.table, separators=(",", ":"))
         out.append(
             {
                 "name": name,
                 "index": table.index,
-                "expected": expected,
                 "seconds": best,
-                "md5": hashlib.md5(table.table.tobytes()).hexdigest(),
+                "ok": table.index == expected
+                and hashlib.sha256(text.encode()).hexdigest() == digest,
             }
         )
     return out
 
 
+def git_sha() -> str:
+    """HEAD of the checkout, suffixed "-dirty" when src/ has local changes."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True
+        )
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain", "src"], cwd=root, capture_output=True, text=True
+        )
+    except OSError:
+        return "unknown"
+    if head.returncode:
+        return "unknown"
+    return head.stdout.strip() + ("-dirty" if dirty.stdout.strip() else "")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3, help="best-of repeat count")
-    parser.add_argument(
-        "--json", action="store_true", help="emit raw results as JSON (used internally)"
-    )
+    parser.add_argument("--json", action="store_true", help="emit raw results as JSON")
     args = parser.parse_args()
 
     results = run_cases(args.repeats)
+    ok = all(r["ok"] for r in results)
     if args.json:
-        print(json.dumps({"backend": backend.backend_name(), "results": results}))
-        return 0
-
-    if backend.backend_name() != "numba":
-        print(
-            "warning: compiled backend unavailable in this interpreter; "
-            "comparing pure-Python against itself",
-            file=sys.stderr,
-        )
-
-    env = dict(os.environ, PRODQUOT_NO_JIT="1")
-    proc = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--json", "--repeats", str(args.repeats)],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    if proc.returncode != 0:
-        print(proc.stderr, file=sys.stderr)
-        return 1
-    other = json.loads(proc.stdout)
-    assert other["backend"] == "python", other["backend"]
+        doc = {"python": platform.python_version(), "git_sha": git_sha(), "results": results}
+        print(json.dumps(doc, indent=1))
+        return 0 if ok else 1
 
     width = max(len(r["name"]) for r in results)
-    print(f"{'case':<{width}}  {'index':>6}  {backend.backend_name():>9}  {'python':>9}  {'speedup':>7}  tables")
-    ok = True
-    for mine, theirs in zip(results, other["results"]):
-        same = mine["md5"] == theirs["md5"]
-        good = mine["index"] == mine["expected"] and theirs["index"] == theirs["expected"]
-        ok = ok and same and good
-        speedup = theirs["seconds"] / mine["seconds"] if mine["seconds"] else float("inf")
+    print(f"{'case':<{width}}  {'index':>6}  {'seconds':>8}  table")
+    for r in results:
         print(
-            f"{mine['name']:<{width}}  {mine['index']:>6}  "
-            f"{mine['seconds']:>8.3f}s  {theirs['seconds']:>8.3f}s  "
-            f"{speedup:>6.1f}x  {'match' if same else 'DIFFER'}"
-            f"{'' if good else '  WRONG INDEX'}"
+            f"{r['name']:<{width}}  {r['index']:>6}  {r['seconds']:>7.3f}s  "
+            f"{'match' if r['ok'] else 'MISMATCH'}"
         )
     return 0 if ok else 1
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
 
-from . import backend
 from .abelian import AbelianInvariants, invariants_from_matrix
 from .cli import bundled_job_names, load_bundled_job
 from .coset import todd_coxeter
@@ -358,7 +357,6 @@ ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
 
 
 def run_all(quiet: bool = True) -> list[CriterionResult]:
-    backend.warmup()
     results = []
     for fn in ALL_CRITERIA:
         result = fn()

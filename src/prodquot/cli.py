@@ -669,6 +669,14 @@ def _cmd_list_jobs(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _budget_override(text: str) -> int:
+    """argparse type of the budget flags: the same rule as ``budgets.*``."""
+    try:
+        return _as_int(int(text), repr(text), minimum=1)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prodquot",
@@ -679,9 +687,13 @@ def build_parser() -> argparse.ArgumentParser:
     def job_sub(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--job", help="job file, '-' for stdin, or a bundled job name")
-        p.add_argument("--max-cosets", type=int, help="coset table budget override")
-        p.add_argument("--tietze-steps", type=int, help="simplification budget override")
-        p.add_argument("--index-bound", type=int, help="verification quotient bound override")
+        p.add_argument("--max-cosets", type=_budget_override, help="coset table budget override")
+        p.add_argument(
+            "--tietze-steps", type=_budget_override, help="simplification budget override"
+        )
+        p.add_argument(
+            "--index-bound", type=_budget_override, help="verification quotient bound override"
+        )
         p.add_argument("--out", help="report file (default stdout)")
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")
         p.add_argument("--timing", action="store_true", help="embed stage timing in the report")

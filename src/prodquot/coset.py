@@ -1,19 +1,20 @@
 """Coset enumeration over finite presentations.
 
-The enumeration strategy is relator-scan driven: every live coset scans every
-relator, gaps are filled by defining the first missing table entry.  Completed
-tables are compressed and standardized, so for a fixed presentation, subgroup
-words and budget the resulting table is byte-reproducible.
+The enumeration strategy is relator-scan driven (HLT): every live coset scans
+every relator, gaps are filled by defining the first missing table entry.
+Words are column-coded: generator g forward is column 2*g, backward is
+2*g + 1, so the inverse of a column is column ^ 1.  Dead cosets are tracked
+through a union-find list whose merges always keep the smaller label, and
+coincidences are processed through a FIFO queue.  Completed tables are
+compressed and standardized, so for a fixed presentation, subgroup words and
+budget the resulting table is reproducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import _scan
 from .presentation import Presentation
 from .words import Word
 
@@ -34,45 +35,31 @@ def word_to_cols(word: Word) -> list[int]:
     return cols
 
 
-def _flatten(words: Sequence[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    flat = [c for w in words for c in w]
-    off = [0]
-    for w in words:
-        off.append(off[-1] + len(w))
-    return (
-        np.asarray(flat, dtype=np.int64),
-        np.asarray(off, dtype=np.int64),
-    )
-
-
 @dataclass
 class CosetTable:
     """Complete, standardized coset table of a subgroup.
 
-    ``table[c, 2g]`` is the target of coset c under generator g, ``2g + 1``
+    ``table[c][2g]`` is the target of coset c under generator g, ``2g + 1``
     under its inverse.  Coset 0 is the subgroup itself.  Immutable by
     convention once built; safe to share across threads.
     """
 
     presentation: Presentation
     subgroup_words: tuple[Word, ...]
-    table: np.ndarray
+    table: list[list[int]]
     tree: tuple[tuple[int, int], ...]  # per coset > 0: (parent coset, column)
 
     @property
     def index(self) -> int:
-        return int(self.table.shape[0])
+        return len(self.table)
 
     def trace(self, coset: int, word: Word) -> int:
-        c = coset
-        for col in word_to_cols(word):
-            c = int(self.table[c, col])
-        return c
+        return self.trace_cols(coset, word_to_cols(word))
 
     def trace_cols(self, coset: int, cols: Iterable[int]) -> int:
         c = coset
         for col in cols:
-            c = int(self.table[c, col])
+            c = self.table[c][col]
         return c
 
     def transversal(self) -> list[Word]:
@@ -99,54 +86,132 @@ def todd_coxeter(
         raise ValueError("max_cosets must be positive")
     sub = tuple(subgroup_words)
     if p.ngens == 0:
-        table = np.zeros((1, 0), dtype=np.int64)
-        return CosetTable(p, sub, table, ())
-    ncols = 2 * p.ngens
+        return CosetTable(p, sub, [[]], ())
     rel_cols = [w for w in (word_to_cols(r) for r in p.relators) if w]
     sub_cols = [w for w in (word_to_cols(s) for s in sub) if w]
-    rel_flat, rel_off = _flatten(rel_cols)
-    sub_flat, sub_off = _flatten(sub_cols)
-    status, raw, parents, ndef = _scan.hlt_enumerate(
-        ncols, rel_flat, rel_off, sub_flat, sub_off, max_cosets
-    )
-    if status == _scan.OVERFLOW:
-        raise CosetOverflow(int(ndef), max_cosets)
-    table, tree = _compress_standardize(raw[:ndef], parents[:ndef])
+    raw, parent = _hlt_enumerate(2 * p.ngens, rel_cols, sub_cols, max_cosets)
+    table, tree = _compress_standardize(raw, parent)
     return CosetTable(p, sub, table, tree)
 
 
-def _compress_standardize(raw: np.ndarray, parents: np.ndarray):
-    ndef, ncols = raw.shape
-    roots = parents.copy()
-    while True:
-        nxt = roots[roots]
-        if np.array_equal(nxt, roots):
-            break
-        roots = nxt
-    live = np.flatnonzero(roots == np.arange(ndef))
-    m = live.shape[0]
-    remap = np.full(ndef, -1, dtype=np.int64)
-    remap[live] = np.arange(m)
-    t = raw[live]
-    if (t < 0).any():
-        raise AssertionError("incomplete coset table after enumeration")
-    t = remap[roots[t]]
-    # standardize: relabel cosets in first-visit row-major order
-    new = np.full(m, -1, dtype=np.int64)
-    new[0] = 0
-    seq = [0]
-    tree: list[tuple[int, int]] = [(-1, -1)] * m
-    count = 1
-    for idx in seq:
-        row = t[idx]
-        for x in range(ncols):
-            tgt = int(row[x])
-            if new[tgt] < 0:
-                new[tgt] = count
-                tree[count - 1] = (int(new[idx]), x)
-                count += 1
-                seq.append(tgt)
-    if count != m:
+def _hlt_enumerate(ncols, rels, subs, max_cosets):
+    """Relator-scan enumeration; returns the raw table and union-find parents.
+
+    Every defined coset keeps its row, dead ones included; ``parent[c] <= c``.
+    """
+    table = [[-1] * ncols]
+    parent = [0]
+
+    def rep(k):
+        r = k
+        while parent[r] != r:
+            r = parent[r]
+        while k != r:
+            nxt = parent[k]
+            parent[k] = r
+            k = nxt
+        return r
+
+    def merge(queue, a, b):
+        ra = rep(a)
+        rb = rep(b)
+        if ra != rb:
+            if ra > rb:
+                ra, rb = rb, ra
+            parent[rb] = ra
+            queue.append(rb)
+
+    def coincidence(a, b):
+        queue: list[int] = []
+        merge(queue, a, b)
+        for gamma in queue:  # grows while it is processed
+            row = table[gamma]
+            for x in range(ncols):
+                delta = row[x]
+                if delta >= 0:
+                    table[delta][x ^ 1] = -1
+                    mu = rep(gamma)
+                    nu = rep(delta)
+                    if table[mu][x] >= 0:
+                        merge(queue, nu, table[mu][x])
+                    elif table[nu][x ^ 1] >= 0:
+                        merge(queue, mu, table[nu][x ^ 1])
+                    else:
+                        table[mu][x] = nu
+                        table[nu][x ^ 1] = mu
+
+    def define(c, x):
+        n = len(table)
+        if n >= max_cosets:
+            raise CosetOverflow(n, max_cosets)
+        table.append([-1] * ncols)
+        parent.append(n)
+        table[c][x] = n
+        table[n][x ^ 1] = c
+
+    def scan_and_fill(alpha, w):
+        """Scan one word at one coset, defining cosets to finish the scan."""
+        f = alpha
+        i = 0
+        b = alpha
+        j = len(w) - 1
+        while True:
+            while i <= j and table[f][w[i]] >= 0:
+                f = table[f][w[i]]
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][w[j] ^ 1] >= 0:
+                b = table[b][w[j] ^ 1]
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][w[i]] = b
+                table[b][w[i] ^ 1] = f
+                return
+            define(f, w[i])
+
+    for w in subs:
+        scan_and_fill(0, w)
+    alpha = 0
+    while alpha < len(table):
+        if parent[alpha] == alpha:
+            for w in rels:
+                scan_and_fill(alpha, w)
+                if parent[alpha] != alpha:
+                    break
+            else:
+                row = table[alpha]
+                for x in range(ncols):
+                    if row[x] < 0:
+                        define(alpha, x)
+        alpha += 1
+    return table, parent
+
+
+def _compress_standardize(raw, parent):
+    """Drop dead cosets and relabel the rest in first-visit row-major order."""
+    root: list[int] = []
+    for c, q in enumerate(parent):
+        root.append(c if q == c else root[q])
+    live = sum(1 for c, r in enumerate(root) if c == r)
+    new = {0: 0}
+    order = [0]
+    tree: list[tuple[int, int]] = []
+    for old in order:
+        for x, tgt in enumerate(raw[old]):
+            if tgt < 0:
+                raise AssertionError("incomplete coset table after enumeration")
+            tgt = root[tgt]
+            if tgt not in new:
+                new[tgt] = len(order)
+                tree.append((new[old], x))
+                order.append(tgt)
+    if len(order) != live:
         raise AssertionError("coset table is not transitive")
-    std = new[t[np.argsort(new)]]
-    return std, tuple(tree[: m - 1])
+    table = [[new[root[tgt]] for tgt in raw[old]] for old in order]
+    return table, tuple(tree)

@@ -709,7 +709,7 @@ def _regular_values(table: CosetTable) -> tuple[FiniteGroup, list[int]]:
     element index of each presentation generator."""
     n = table.index
     perms = [
-        Permutation(tuple(int(table.table[c, 2 * x]) for c in range(n)))
+        Permutation(tuple(table.table[c][2 * x] for c in range(n)))
         for x in range(table.presentation.ngens)
     ]
     nontrivial = [p for p in perms if not p.is_identity()]

@@ -39,12 +39,12 @@ class SubgroupPresentation:
         for g, s in word.single_letters():
             if s > 0:
                 edge = (c, g)
-                c = int(table[c, 2 * g])
+                c = table[c][2 * g]
                 gen = self.gen_of_edge.get(edge)
                 if gen is not None:
                     out.append((gen, 1))
             else:
-                c = int(table[c, 2 * g + 1])
+                c = table[c][2 * g + 1]
                 gen = self.gen_of_edge.get((c, g))
                 if gen is not None:
                     out.append((gen, -1))
@@ -69,7 +69,7 @@ def reidemeister_schreier(
     names: list[str] = []
     for c in range(table.index):
         for g in range(ambient.ngens):
-            target = int(table.table[c, 2 * g])
+            target = table.table[c][2 * g]
             word = reps[c] * Word(((g, 1),)) * reps[target].inverse()
             if word.is_identity():
                 continue

@@ -180,6 +180,24 @@ def test_exit_code_validation(tmp_path, capsys):
     assert main(["run", "--job", str(missing), "--quiet"]) == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--max-cosets", "0"),
+        ("--tietze-steps", "-1"),
+        ("--index-bound", "0"),
+        ("--max-cosets", "x"),
+    ],
+)
+def test_bad_budget_override_is_a_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["pi1", "--job", "kummer", flag, value, "--quiet"])
+    assert exc.value.code == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("usage:")
+    assert flag in err
+
+
 def test_exit_code_overflow_still_writes_report(tmp_path):
     out = tmp_path / "report.json"
     code = main(
