@@ -2,9 +2,7 @@
 
 Each criterion is a function returning a :class:`CriterionResult`; the CLI's
 ``selftest`` subcommand and the test suite both run :func:`run_all` and print
-one line per criterion.  Time limits are part of the pass condition and are
-measured after the compiled kernels have been warmed up, so they gauge the
-algorithms rather than compilation.
+one line per criterion.  Time limits are part of the pass condition.
 """
 
 from __future__ import annotations

@@ -61,6 +61,19 @@ class Signature:
     def is_hyperbolic(self) -> bool:
         return self.orbifold_euler() < 0
 
+    def group_order(self) -> Optional[int]:
+        """Order of the group, None when infinite (chi <= 0).  chi > 0 forces
+        genus 0 and r <= 3: trivial, cyclic of order gcd(m_1, m_2), or a
+        spherical triangle group of order 2 / chi."""
+        chi = self.orbifold_euler()
+        if chi <= 0:
+            return None
+        if self.r <= 1:
+            return 1
+        if self.r == 2:
+            return gcd(*self.periods)
+        return int(2 / chi)
+
 
 def _gen_names(genus: int, r: int) -> tuple[str, ...]:
     names = []

@@ -17,6 +17,7 @@ p_i : G -> H_i and a generating vector for H_i.  This module builds:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -32,14 +33,12 @@ from .orbifold import (
 from .perm import (
     FiniteGroup,
     GroupHom,
-    Permutation,
     centralizer,
     conjugating_element,
     cyclic_group,
     dihedral_group,
     direct_product_group,
     quotient,
-    trivial_group,
 )
 from .presentation import (
     Presentation,
@@ -62,9 +61,6 @@ from .words import Word, free_reduce
 DEFAULT_MAX_COSETS = 100_000
 DEFAULT_TIETZE_STEPS = 10_000
 DEFAULT_INDEX_BOUND = 8
-# order probes (|pi1|, |orbifold quotient product|) run against infinite
-# groups routinely; keep their overflow cheap
-DEFAULT_PROBE_COSETS = 20_000
 _HOM_TUPLE_BOUND = 200_000
 
 
@@ -641,12 +637,12 @@ class StructureReport:
     quotient_signatures: tuple[Signature, ...]
     t_index_bound: int
     t_index_exact: bool
-    e_order_bound: Optional[int]  # None: unbounded within budget
+    e_order_bound: Optional[int]  # None: some factor's kills generate an infinite kernel
     e_order_exact: bool
     freeness: bool
     abelianization: AbelianInvariants
-    pi1_order: Optional[int]  # None: not finite within budget
-    orbifold_quotient_order: Optional[int]
+    pi1_order: Optional[int]  # None: infinite, or finite beyond max_cosets
+    orbifold_quotient_order: Optional[int]  # None: infinite
     intersection_kernel_order: int
     verification: Optional[VerificationReport]
     notes: tuple[str, ...]
@@ -704,47 +700,18 @@ def _order_probe(p: Presentation, max_cosets: int) -> Optional[int]:
         return None
 
 
-def _regular_values(table: CosetTable) -> tuple[FiniteGroup, list[int]]:
-    """Finite group of a complete table over the trivial subgroup, with the
-    element index of each presentation generator."""
-    n = table.index
-    perms = [
-        Permutation(tuple(table.table[c][2 * x] for c in range(n)))
-        for x in range(table.presentation.ngens)
-    ]
-    nontrivial = [p for p in perms if not p.is_identity()]
-    group = FiniteGroup(nontrivial, degree=n) if nontrivial else trivial_group(max(n, 1))
-    return group, [group.element_index(p) for p in perms]
-
-
-def _normal_closure_order(
-    action: CurveAction, kill: dict[int, set[int]], max_cosets: int
-) -> Optional[int]:
-    """Order of the subgroup the kill relators normally generate, or None
-    when some enumeration overflows (the closure may well be infinite)."""
-    if not kill:
-        return 1
-    tpres = action.orbifold()
-    try:
-        qtable = todd_coxeter(_killed_orbifold(action, kill), [], max_cosets)
-    except CosetOverflow:
+def _pi1_order(res: Pi1Result, sigs: Sequence[Signature], max_cosets: int) -> Optional[int]:
+    """|pi1|, or None when it is infinite or overflows max_cosets.  pi1 is a
+    finite extension of a finite-index subgroup of the product of the
+    quotient orbifold groups, so only then is it finite and enumerated."""
+    if any(s.group_order() is None for s in sigs):
         return None
-    if qtable.index == 1:
-        return _order_probe(tpres, max_cosets)
-    quo, values = _regular_values(qtable)
-    words = kernel_subgroup_words(tpres, values, quo)
-    try:
-        ktable = todd_coxeter(tpres, words, max_cosets)
-    except CosetOverflow:
-        return None
-    sub = reidemeister_schreier(tpres, ktable, prefix="k")
-    return _order_probe(sub.presentation, max_cosets)
+    return _order_probe(res.presentation, max_cosets)
 
 
 def structure_from_pi1(
     res: Pi1Result,
     max_cosets: int = DEFAULT_MAX_COSETS,
-    probe_cosets: int = DEFAULT_PROBE_COSETS,
     verify_index_bound: Optional[int] = None,
 ) -> StructureReport:
     acts = [lift.action for lift in res.diagonal.lifts]
@@ -773,8 +740,9 @@ def structure_from_pi1(
         notes.append("image index enumeration overflowed; reporting the a-priori bound")
     if ambient_index % t_index:
         raise RuntimeError("image index does not divide the ambient index")
-    pi1_order = _order_probe(res.presentation, probe_cosets)
-    orb_order = _order_probe(prod, probe_cosets)
+    pi1_order = _pi1_order(res, sigs, max_cosets)
+    orders = [s.group_order() for s in sigs]
+    orb_order = None if None in orders else math.prod(orders)
     if pi1_order is None:
         notes.append("fundamental group not finite within the probe budget")
     if orb_order is None:
@@ -796,16 +764,21 @@ def structure_from_pi1(
     else:
         e_bound = inter
         e_exact = False
-        for a, k in zip(acts, kills):
-            size = _normal_closure_order(a, k, probe_cosets)
-            if size is None:
+        for a, k, s in zip(acts, kills, sigs):
+            if not k:
+                continue
+            # the kills normally generate a subgroup of order |T| / |T'|;
+            # an infinite Fuchsian or crystallographic T has no nontrivial
+            # finite normal subgroup, so there it is infinite
+            full = a.signature.group_order()
+            if full is None:
                 e_bound = None
                 notes.append("kernel order unbounded within budget")
                 break
-            e_bound *= size
+            e_bound *= full // s.group_order()
     verification = None
     if verify_index_bound is not None:
-        verification = _verify(res, sigs, verify_index_bound, max_cosets, pi1_order)
+        verification = _verify(res, sigs, verify_index_bound, max_cosets)
     return StructureReport(
         sigs,
         t_index,
@@ -826,11 +799,10 @@ def structure_extension(
     actions: Sequence[CurveAction],
     max_cosets: int = DEFAULT_MAX_COSETS,
     tietze_steps: int = DEFAULT_TIETZE_STEPS,
-    probe_cosets: int = DEFAULT_PROBE_COSETS,
     verify_index_bound: Optional[int] = None,
 ) -> StructureReport:
     res = build_pi1(actions, max_cosets, tietze_steps)
-    return structure_from_pi1(res, max_cosets, probe_cosets, verify_index_bound)
+    return structure_from_pi1(res, max_cosets, verify_index_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -911,14 +883,11 @@ def _verify(
     sigs: Sequence[Signature],
     index_bound: int,
     coset_budget: int,
-    pi1_order_hint: Optional[int] = None,
 ) -> VerificationReport:
     if index_bound < 1 or coset_budget < 1:
         return VerificationReport("INCONCLUSIVE", detail="no search budget")
     pres = res.presentation
-    order = pi1_order_hint
-    if order is None:
-        order = _order_probe(pres, coset_budget)
+    order = _pi1_order(res, sigs, coset_budget)
     if order is not None:
         return VerificationReport(
             "FINITE", order=order, detail="fundamental group is finite"
@@ -966,9 +935,8 @@ def verify_from_pi1(
     res: Pi1Result,
     index_bound: int = DEFAULT_INDEX_BOUND,
     coset_budget: int = DEFAULT_MAX_COSETS,
-    pi1_order_hint: Optional[int] = None,
 ) -> VerificationReport:
     acts = [lift.action for lift in res.diagonal.lifts]
     kills = kill_maps(acts, res.torsion)
     sigs = quotient_signatures(acts, kills)
-    return _verify(res, sigs, index_bound, coset_budget, pi1_order_hint)
+    return _verify(res, sigs, index_bound, coset_budget)

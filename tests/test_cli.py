@@ -1,11 +1,15 @@
 """Tests for the job-file command line interface."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import prodquot
 from prodquot.cli import (
     ParseError,
     EXIT_OK,
@@ -226,14 +230,117 @@ def test_list_jobs(capsys):
 
 
 def test_stdin_job_via_module_invocation():
+    # the child imports the same package as this process, installed or not
+    root = str(Path(prodquot.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "prodquot.cli", "freeness", "--job", "-", "--quiet"],
         input=json.dumps(MINIMAL_JOB),
         capture_output=True,
         text=True,
         timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     # The trivial group acts freely: there is no nontrivial element at all.
     assert report["results"]["freeness"]["is_free"] is True
+
+
+# sha256 of render_report(run_job(job)) and of the verify-only report, per
+# bundled job; frozen before finiteness was decided from the quotient
+# signatures, so any change to report bytes shows up here.
+_FROZEN_REPORT_DIGESTS = {
+    "d4-spherical-pair": (
+        "ae51db5b2ec4474a4cacc3ca5441a694ccc68b4cdb94dbc6ae9d4b0bc00e5a12",
+        "4719f7e54310a70a601dd085d34a48d9007c90f6097f58618d96e87754800a80",
+    ),
+    "free-z2-genus3": (
+        "458a77bd1e5cbd3f35643d0ebf53020f619a15e4218da52199857fbdcd4b2e7f",
+        "82519cb8620f5f99dbfbfd81ff7af1c94993f8dcc217ed9717c4cdc640ec31cc",
+    ),
+    "klein-faithful-pair": (
+        "df31993e0ba4cbf859994a292d70bd314e519546fc250fbf2570e65d72b88013",
+        "af5de3a02260e8304a06f463ff7c7d6564c8692bc3305cb16b3ca8aeecb5e7d0",
+    ),
+    "klein-mixed-projections": (
+        "7fc5006c908d6d9bdd97ee6cda0ad96b8380b7f10a1b8e4c32724b7680ee3b3b",
+        "47250ba3e90e8778e7ac129d1fe7b079522b35b26c24f9e359875f88f5b3e82b",
+    ),
+    "kummer": (
+        "657df0cb324322965d9a335f2c4b977e992255b2917f82141309a2c3e46867c4",
+        "d3578f4baec930cf58929c5d9e55514a84b75f9943ad6c2716e6ae91d42fd488",
+    ),
+    "one-factor-s3": (
+        "ea586bafe1810f59baf4e4b00d5eaf8f937e4900ac191c3931247ad818c7cc4e",
+        "28a65b68364a5ffc952b643275a2a3c40eeefbe4a57d9634ed959ae99fc4f795",
+    ),
+    "one-factor-z2": (
+        "944d6c073576c054af20e925e9af0db0cc8ba10aac25f8fbc7edab8316c6d222",
+        "e7da02a8bb24f47b7a1224cdbf34024d60074d2077f572bc8b45a7a370db306a",
+    ),
+    "one-factor-z3-sphere": (
+        "f37f9c5f05b8e624357b569badc641ca66fdb53434c79cd000d19aa9ccda46a9",
+        "4cccefbc75816a408548a23d8977909847b6df5c59ffcc2fe70368aade0d6c4c",
+    ),
+    "s3-free-pair": (
+        "6c533b2655177f0387ee36539759c9faa63671f7e9181986d8df62c56fae37eb",
+        "22a784be74a84b69accb46c0911818018812cbd621dcef1b4a1cd3f626163053",
+    ),
+    "s3-pair": (
+        "c0c77aa8ffb560477f31af0803f8211ad6e8b1706ae15f3c7058696f5d02411c",
+        "bbda3f2b7f492669a208b68f1da374672874cf604323b02331cd3e3556c9ee85",
+    ),
+    "s3-sign-mixed": (
+        "62e05551af0b0b58d8093127d21f1801b870aa1bfbdcb5ef26cee3ff132d2671",
+        "40b683012ea077c4a0b4dc454b7f87a5e34080d795677603382ec81b79647ad1",
+    ),
+    "trivial-group-surfaces": (
+        "074170b75d4f3849ff80711e307834743334520572026e1277edc29299786a03",
+        "33833f007fa0a5e2bb093144c5c3bea2148e2d7657ffd94dde47b18286477c87",
+    ),
+    "z2-free-times-kummer": (
+        "89b06f78146e7484d74a903d72467d7c9592c896d05984b38e3cce05ce1501f3",
+        "c063b468d648eac9358e7a5cf510e023b7e7df06a3d463dacaef5adcace1e67b",
+    ),
+    "z2-pure-kernel-pair": (
+        "07178e54ba4174c5e1eba2c7921ed97c0d1e3091c6829c9cb1254c8c7e0667e8",
+        "11d4700f0b29ac6c05e7b8939562dabe1d251cc80a77006e359552649571db3e",
+    ),
+    "z2-three-kummer": (
+        "e68104b0be8862b6566ceb30a1ec2e5a61cbb37e9e6554b779bb4990488b80e2",
+        "b77e296b8f946680f8fc24634731001f31ae1a1a0dd1f2279fb0e0c37c949039",
+    ),
+    "z2-trivial-plus-kummer": (
+        "2a8c594d993bdcc7ed647844ffb40397e5318d0ce823db92fa7b40173c2cf997",
+        "c2de62063a75793715d891a0b8bac8085aa611ae7c977a8be7e173a945a9b406",
+    ),
+    "z3-triangle-pair": (
+        "bc8c60f359270051148cd706aacc3899de5ada3bf7e419d210e502c7c9949892",
+        "766401de44c4299f9a4378b0ede275de11adbf187e831b9df1ec9062a3eacf80",
+    ),
+    "z4-hyperbolic-pair": (
+        "da802b3e64e21daa8f88703006cf42d0d257a153d9819c9760f810847827e1bd",
+        "7949cb0b134c88e3ce6e2e7c80abc940c2a277612c083c13315becb0205c8aa2",
+    ),
+    "z4-torus-pair": (
+        "1a848cdc86dc3c362d3f206b0222269c24e668cf027e597788ec70a4e3a54d52",
+        "c98bb71d2b5877cd321ace7cbaf58c7fb920d2ee44f04fb36ecbb8db077008e3",
+    ),
+    "z5-pair": (
+        "ce0b0ec1ae93e7879e97ed8f0fc095619cf6b03eb72543022f95150ed30b60a5",
+        "2e72434c32a69e3467cdfb6f277240dbf08879a6337c7f826e3c35b05a3297b4",
+    ),
+}
+
+
+def _digest(report: dict) -> str:
+    return hashlib.sha256(render_report(report).encode()).hexdigest()
+
+
+def test_bundled_reports_match_frozen_digests():
+    assert sorted(_FROZEN_REPORT_DIGESTS) == bundled_job_names()
+    for name, (run_digest, verify_digest) in _FROZEN_REPORT_DIGESTS.items():
+        job = load_bundled_job(name)
+        assert _digest(run_job(job)) == run_digest, name
+        assert _digest(run_job(job.with_outputs(["verify"]))) == verify_digest, name

@@ -1,10 +1,12 @@
 """Tests for orbifold signatures, generating vectors, and quotient signatures."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from prodquot.coset import CosetOverflow, todd_coxeter
 from prodquot.orbifold import (
     GeneratingVector,
     NegativeGenus,
@@ -214,3 +216,20 @@ def test_quotient_signature_matches_presentation_quotient():
         direct = abelian_invariants(quotient_presentation(p, extra))
         via = abelian_invariants(orbifold_presentation(quotient_signature(sig, kill)))
         assert direct == via, (sig, kill)
+
+
+def test_group_order_matches_todd_coxeter():
+    # Todd-Coxeter is the oracle for the closed form: every finite group here
+    # has order at most 60, and an infinite one overflows any budget.
+    checked = 0
+    for genus in range(3):
+        for r in range(5):
+            for periods in itertools.combinations_with_replacement(range(2, 8), r):
+                sig = Signature.of(genus, periods)
+                try:
+                    index = todd_coxeter(orbifold_presentation(sig), [], 2000).index
+                except CosetOverflow:
+                    index = None
+                assert sig.group_order() == index, sig
+                checked += 1
+    assert checked == 630

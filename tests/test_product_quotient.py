@@ -2,9 +2,10 @@
 
 import pytest
 
+import prodquot.product_quotient as pq
 from prodquot.acceptance import _brute_force_torsion_count
-from prodquot.cli import load_bundled_job
-from prodquot.coset import todd_coxeter
+from prodquot.cli import bundled_job_names, load_bundled_job
+from prodquot.coset import CosetOverflow, todd_coxeter
 from prodquot.orbifold import (
     GeneratingVector,
     Signature,
@@ -269,3 +270,28 @@ def test_build_curve_action_validation():
     onto_s3 = GroupHom(s3, s3, [s3.element_index(g) for g in s3.generators])
     with pytest.raises(ValueError, match="share their target"):
         build_curve_action(s3, onto_s3, kummer_vec)
+
+
+def test_structure_and_verify_never_overflow_on_bundled_jobs(monkeypatch):
+    # Finiteness comes from the quotient signatures, so no enumeration is
+    # started on a group that turns out to be infinite.
+    overflows = []
+
+    def counting(*args, **kwargs):
+        try:
+            return todd_coxeter(*args, **kwargs)
+        except CosetOverflow:
+            overflows.append(args[0])
+            raise
+
+    for name in bundled_job_names():
+        job = load_bundled_job(name)
+        budgets = job.budgets
+        res = build_pi1(job.actions, budgets.max_cosets, budgets.tietze_steps)
+        monkeypatch.setattr(pq, "todd_coxeter", counting)
+        structure_from_pi1(
+            res, budgets.max_cosets, verify_index_bound=budgets.verify_index_bound
+        )
+        verify_from_pi1(res, budgets.verify_index_bound, budgets.max_cosets)
+        monkeypatch.undo()
+        assert not overflows, name
