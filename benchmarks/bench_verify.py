@@ -1,0 +1,206 @@
+#!/usr/bin/env python3
+"""Benchmark the verify search on Beauville's (Z/5)^2 surface.
+
+The job is the p_g = q = 0 reference pair: G = two commuting 5-cycles on 10
+points acting on two genus-6 curves with signature (0; 5,5,5), vectors
+(g0, g1, g0^-1*g1^-1) and (g0*g1^2, g0^3*g1^4, g0*g1^4).  pi1 is built once,
+untimed; each run times ``verify_from_pi1`` at the default index bound and
+splits its time over four layers (evaluate_word, Reidemeister-Schreier, SNF,
+Todd-Coxeter) by rebinding those names in every loaded prodquot module.  A
+run exits 1 when the sha256 of the verification report differs from the
+frozen digest, so a speed change cannot change the answer.
+
+With --base SRC the script runs pairs: the checkout it lives in and the
+package under SRC (say, the src/ of a clone of the parent commit), each run
+in a fresh interpreter, the base first in even pairs and second in odd ones,
+and reports the medians.
+
+Usage:
+  python3 benchmarks/bench_verify.py [--runs N] [--base SRC] [--json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+JOB = {
+    "schema": "prodquot-job/1",
+    "name": "beauville-reference",
+    "group": {
+        "degree": 10,
+        "generators": [[1, 2, 3, 4, 0, 5, 6, 7, 8, 9], [0, 1, 2, 3, 4, 6, 7, 8, 9, 5]],
+    },
+    "actions": [
+        {
+            "projection": "identity",
+            "signature": {"genus": 0, "periods": [5, 5, 5]},
+            "vector": {"a": [], "b": [], "c": ["g0", "g1", "g0^4*g1^4"]},
+        },
+        {
+            "projection": "identity",
+            "signature": {"genus": 0, "periods": [5, 5, 5]},
+            "vector": {"a": [], "b": [], "c": ["g0*g1^2", "g0^3*g1^4", "g0*g1^4"]},
+        },
+    ],
+    "outputs": ["verify"],
+}
+
+# sha256 of the verification report as sorted compact JSON (see report_digest)
+REPORT_DIGEST = "b5c0b61ac7d2a25a7766209216904be4fdc38f50b3c950b7f7b96711233074c4"
+
+# layer -> (module, function name)
+LAYERS = {
+    "evaluate_s": ("prodquot.rewrite", "evaluate_word"),
+    "rs_s": ("prodquot.rewrite", "reidemeister_schreier"),
+    "snf_s": ("prodquot.abelian", "smith_diagonal"),
+    "coset_s": ("prodquot.coset", "todd_coxeter"),
+}
+
+
+def report_digest(report) -> str:
+    text = json.dumps(dataclasses.asdict(report), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def install_timers(seconds: dict[str, float]) -> None:
+    """Rebind each layer's function, wherever a prodquot module names it, to
+    a wrapper adding its wall time to seconds[layer]."""
+    import importlib
+
+    for layer, (module, name) in LAYERS.items():
+        original = getattr(importlib.import_module(module), name)
+
+        def timed(*args, _f=original, _layer=layer, **kwargs):
+            start = time.perf_counter()
+            try:
+                return _f(*args, **kwargs)
+            finally:
+                seconds[_layer] += time.perf_counter() - start
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and mod_name.split(".")[0] == "prodquot":
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        setattr(mod, attr, timed)
+
+
+def run_once() -> dict:
+    """One timed verify_from_pi1 in this interpreter."""
+    from prodquot.cli import parse_job
+    from prodquot.product_quotient import build_pi1, verify_from_pi1
+
+    job = parse_job(json.dumps(JOB))
+    res = build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
+    seconds = dict.fromkeys(LAYERS, 0.0)
+    install_timers(seconds)
+    start = time.perf_counter()
+    report = verify_from_pi1(
+        res, job.budgets.verify_index_bound, job.budgets.max_cosets
+    )
+    total = time.perf_counter() - start
+    digest = report_digest(report)
+    return {
+        "verify_s": round(total, 4),
+        **{k: round(v, 4) for k, v in seconds.items()},
+        "status": report.status,
+        "digest": digest,
+        "digest_ok": digest == REPORT_DIGEST,
+    }
+
+
+def run_child(src: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, os.path.abspath(__file__), "--child"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def git_sha() -> str:
+    """HEAD of the checkout, suffixed "-dirty" when src/ has local changes."""
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
+        )
+        dirty = subprocess.run(
+            ["git", "status", "--porcelain", "src"], cwd=ROOT, capture_output=True, text=True
+        )
+    except OSError:
+        return "unknown"
+    if head.returncode:
+        return "unknown"
+    return head.stdout.strip() + ("-dirty" if dirty.stdout.strip() else "")
+
+
+def summarize(runs: list[dict]) -> dict:
+    keys = ["verify_s", *LAYERS]
+    return {
+        **{k: round(statistics.median(r[k] for r in runs), 4) for k in keys},
+        "verify_runs_s": [r["verify_s"] for r in runs],
+        "digest_ok": all(r["digest_ok"] for r in runs),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--runs", type=int, default=3, help="runs (pairs with --base)")
+    parser.add_argument("--base", help="src directory of the package to compare against")
+    parser.add_argument("--json", action="store_true", help="emit the results as JSON")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+
+    if args.child:
+        print(json.dumps(run_once()))
+        return 0
+
+    here_src = os.path.join(ROOT, "src")
+    after: list[dict] = []
+    before: list[dict] = []
+    for k in range(args.runs):
+        if args.base and k % 2 == 0:
+            before.append(run_child(args.base))
+        after.append(run_child(here_src))
+        if args.base and k % 2 == 1:
+            before.append(run_child(args.base))
+    doc = {
+        "python": platform.python_version(),
+        "git_sha": git_sha(),
+        "runs": args.runs,
+        "after": summarize(after),
+    }
+    if before:
+        doc["before"] = summarize(before)
+        doc["speedup"] = round(doc["before"]["verify_s"] / doc["after"]["verify_s"], 2)
+    ok = doc["after"]["digest_ok"]
+    if args.json:
+        print(json.dumps(doc, indent=1))
+        return 0 if ok else 1
+
+    cols = ["verify_s", *LAYERS]
+    print(f"{'':8}" + "".join(f"{c:>12}" for c in cols))
+    for side in ("before", "after"):
+        if side in doc:
+            print(f"{side:8}" + "".join(f"{doc[side][c]:>12.3f}" for c in cols))
+    if "speedup" in doc:
+        print(f"speedup {doc['speedup']}x")
+    print(f"report digest {'match' if ok else 'MISMATCH'}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

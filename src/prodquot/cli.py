@@ -206,10 +206,12 @@ def _parse_group(doc: Any, path: str) -> tuple[FiniteGroup, dict]:
 def _parse_projection(
     doc: Any, group: FiniteGroup, path: str
 ) -> tuple[GroupHom, Any]:
-    if doc == "identity":
-        return identity_hom(group), "identity"
-    if doc == "trivial":
-        return trivial_hom(group), "trivial"
+    if doc in ("identity", "trivial"):
+        try:
+            hom = identity_hom(group) if doc == "identity" else trivial_hom(group)
+        except GroupTooLarge as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+        return hom, doc
     if isinstance(doc, str):
         _fail(path, "expected \"identity\", \"trivial\", or {degree, images}")
     spec = _as_dict(doc, path)

@@ -45,9 +45,7 @@ def _entry(
     for rel in pres.relators:
         if evaluate_word(rel, idx, group) != 0:
             raise ValueError(f"{name}: relator fails in the permutation model")
-    gens = [p for p in images if not p.is_identity()]
-    closure = FiniteGroup(gens, degree=group.degree) if gens else trivial_group(group.degree)
-    if closure.order != group.order:
+    if group.generated_order(idx) != group.order:
         raise ValueError(f"{name}: images do not generate the permutation model")
     return CorpusEntry(name, pres, group, idx)
 

@@ -29,9 +29,9 @@ class CosetOverflow(RuntimeError):
 
 
 def word_to_cols(word: Word) -> list[int]:
-    cols = []
-    for g, s in word.single_letters():
-        cols.append(2 * g if s > 0 else 2 * g + 1)
+    cols: list[int] = []
+    for g, e in word.letters:
+        cols += [2 * g] * e if e > 0 else [2 * g + 1] * -e
     return cols
 
 

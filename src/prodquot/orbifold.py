@@ -188,9 +188,7 @@ def validate_generating_vector(v: GeneratingVector) -> Optional[VectorViolation]
         return VectorViolation(
             "relation", None, f"long relation evaluates to element {acc}, not identity"
         )
-    gens = [h.elements[i] for i in (*v.a_images, *v.b_images, *v.c_images)]
-    closure = FiniteGroup(gens, degree=h.degree) if gens else None
-    size = closure.order if closure else 1
+    size = h.generated_order((*v.a_images, *v.b_images, *v.c_images))
     if size != h.order:
         return VectorViolation(
             "generation", None, f"images generate a subgroup of order {size} < {h.order}"
@@ -227,11 +225,7 @@ def enumerate_generating_vectors(
     def finish(cs: tuple[int, ...], abs_: tuple[int, ...]) -> None:
         a_imgs = abs_[0::2]
         b_imgs = abs_[1::2]
-        gens = [h.elements[i] for i in (*a_imgs, *b_imgs, *cs)]
-        if gens:
-            if FiniteGroup(gens, degree=h.degree).order != h.order:
-                return
-        elif h.order != 1:
+        if h.generated_order((*a_imgs, *b_imgs, *cs)) != h.order:
             return
         results.append(
             GeneratingVector(h, genus, periods, a_imgs, b_imgs, cs)

@@ -3,7 +3,9 @@
 Elements are stored in the order a breadth-first closure from the generators
 discovers them (identity first, then right-multiplications in generator
 order), and every "least element" tie-break in the package refers to this
-index.  Groups are immutable once built and safe to share across threads.
+index.  Index arithmetic goes through a Cayley table built on first use and
+limited to DEFAULT_PAIR_BOUND entries.  Groups are immutable once built
+(the table is a cache of fixed content) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -92,26 +94,28 @@ class FiniteGroup:
                 raise ValueError("generator degrees disagree")
         self.degree = degree
         self.generators = tuple(g for g in generators)
-        elements: list[Permutation] = [identity_perm(degree)]
-        index = {elements[0].images: 0}
+        gen_images = [g.images for g in self.generators]
+        images: list[tuple[int, ...]] = [tuple(range(degree))]
+        index = {images[0]: 0}
         # word chain: elements[i] == elements[parent_of[i]] * generators[gen_of[i]]
         parent_of = [-1]
         gen_of = [-1]
-        for e_idx, elem in enumerate(elements):
-            for g_idx, g in enumerate(self.generators):
-                prod = elem * g
-                if prod.images not in index:
-                    if len(elements) >= max_order:
+        for e_idx, elem in enumerate(images):
+            for g_idx, g in enumerate(gen_images):
+                prod = tuple(map(elem.__getitem__, g))
+                if prod not in index:
+                    if len(images) >= max_order:
                         raise GroupTooLarge(f"order exceeds {max_order}")
-                    index[prod.images] = len(elements)
-                    elements.append(prod)
+                    index[prod] = len(images)
+                    images.append(prod)
                     parent_of.append(e_idx)
                     gen_of.append(g_idx)
-        self.elements = tuple(elements)
+        self.elements = tuple(map(Permutation, images))
         self._index = index
         self._parent_of = parent_of
         self._gen_of = gen_of
         self._inverse: Optional[list[int]] = None
+        self._table: Optional[list[tuple[int, ...]]] = None
         self.parent = parent
         self._presentation_cache = None
 
@@ -128,8 +132,51 @@ class FiniteGroup:
     def __contains__(self, perm: Permutation) -> bool:
         return perm.images in self._index
 
+    def cayley_table(self) -> list[tuple[int, ...]]:
+        """Rows of element indices: ``cayley_table()[a][b]`` is a * b.
+
+        Built on first use, column by column along the word chain
+        (a * e_i == (a * e_parent) * generator), so it costs one right
+        multiplication per element and generator plus order**2 lookups.
+        Raises GroupTooLarge beyond DEFAULT_PAIR_BOUND entries.
+        """
+        if self._table is None:
+            n = self.order
+            if n * n > DEFAULT_PAIR_BOUND:
+                raise GroupTooLarge(
+                    f"multiplication table needs {n * n} entries > {DEFAULT_PAIR_BOUND}"
+                )
+            index = self._index
+            images = [e.images for e in self.elements]
+            right = [
+                [index[tuple(map(x.__getitem__, g.images))] for x in images]
+                for g in self.generators
+            ]
+            cols: list[list[int]] = [list(range(n))]  # cols[b][a] == a * b
+            for i in range(1, n):
+                step = right[self._gen_of[i]]
+                cols.append(list(map(step.__getitem__, cols[self._parent_of[i]])))
+            self._table = list(zip(*cols))
+        return self._table
+
     def mul_idx(self, a: int, b: int) -> int:
-        return self._index[(self.elements[a] * self.elements[b]).images]
+        return (self._table or self.cayley_table())[a][b]
+
+    def generated_order(self, indices: Iterable[int]) -> int:
+        """Order of the subgroup generated by the given element indices."""
+        table = self.cayley_table()
+        gens = sorted(set(indices) - {0})
+        seen = bytearray(self.order)
+        seen[0] = 1
+        queue = [0]
+        for x in queue:
+            row = table[x]
+            for g in gens:
+                y = row[g]
+                if not seen[y]:
+                    seen[y] = 1
+                    queue.append(y)
+        return len(queue)
 
     def inv_idx(self, a: int) -> int:
         if self._inverse is None:
@@ -261,17 +308,20 @@ class GroupHom:
         n = source.order
         if n * n > pair_bound:
             raise GroupTooLarge(f"homomorphism check needs {n * n} pairs > {pair_bound}")
+        src_mul = source.cayley_table()
+        dst_mul = target.cayley_table()
         table = [0] * n
         for a in range(n):
             acc = 0
             for g in source.element_word(a):
-                acc = target.mul_idx(acc, gen_images[g])
+                acc = dst_mul[acc][gen_images[g]]
             table[a] = acc
         self._table = table
         for a in range(n):
-            fa = table[a]
+            src_row = src_mul[a]
+            dst_row = dst_mul[table[a]]
             for b in range(n):
-                if table[source.mul_idx(a, b)] != target.mul_idx(fa, table[b]):
+                if table[src_row[b]] != dst_row[table[b]]:
                     raise NotAHomomorphism(
                         f"images violate multiplication at element pair ({a}, {b})"
                     )

@@ -91,13 +91,6 @@ def _pow_idx(group: FiniteGroup, a: int, n: int) -> int:
     return acc
 
 
-def _generated_order(group: FiniteGroup, indices: Sequence[int]) -> int:
-    gens = [group.elements[i] for i in set(indices) if i]
-    if not gens:
-        return 1
-    return FiniteGroup(gens, degree=group.degree).order
-
-
 # ---------------------------------------------------------------------------
 # One factor: the acting group, the curve, and the lift.
 
@@ -245,7 +238,7 @@ def lift_group(
     # surviving generators denote the same subgroup elements, so their
     # orbifold components carry over unchanged
     t_components = tuple(raw_t[i] for i in survivors)
-    if _generated_order(g, psi) != g.order:
+    if g.generated_order(psi) != g.order:
         raise RuntimeError("lift generators do not map onto the acting group")
     return LiftGroup(
         action,
@@ -344,7 +337,7 @@ def diagonal_lift_group(
         if len(set(coords)) != 1:
             raise RuntimeError("factor images disagree on a diagonal generator")
         psi.append(coords[0])
-    if _generated_order(g, psi) != g.order:
+    if g.generated_order(psi) != g.order:
         raise RuntimeError("diagonal generators do not map onto the acting group")
     return DiagonalLiftGroup(
         tuple(lifts),
@@ -778,7 +771,7 @@ def structure_from_pi1(
             e_bound *= full // s.group_order()
     verification = None
     if verify_index_bound is not None:
-        verification = _verify(res, sigs, verify_index_bound, max_cosets)
+        verification = _verify(res, sigs, pi1_order, verify_index_bound, max_cosets)
     return StructureReport(
         sigs,
         t_index,
@@ -845,7 +838,7 @@ def _surjections(p: Presentation, quo: FiniteGroup) -> Iterator[tuple[int, ...]]
     for tup in itertools.product(range(quo.order), repeat=k):
         if any(evaluate_word(r, tup, quo) != 0 for r in p.relators):
             continue
-        if _generated_order(quo, tup) != quo.order:
+        if quo.generated_order(tup) != quo.order:
             continue
         yield tup
 
@@ -881,13 +874,14 @@ def _try_subgroup(
 def _verify(
     res: Pi1Result,
     sigs: Sequence[Signature],
+    order: Optional[int],
     index_bound: int,
     coset_budget: int,
 ) -> VerificationReport:
+    """order is _pi1_order(res, sigs, coset_budget), which the caller has."""
     if index_bound < 1 or coset_budget < 1:
         return VerificationReport("INCONCLUSIVE", detail="no search budget")
     pres = res.presentation
-    order = _pi1_order(res, sigs, coset_budget)
     if order is not None:
         return VerificationReport(
             "FINITE", order=order, detail="fundamental group is finite"
@@ -939,4 +933,5 @@ def verify_from_pi1(
     acts = [lift.action for lift in res.diagonal.lifts]
     kills = kill_maps(acts, res.torsion)
     sigs = quotient_signatures(acts, kills)
-    return _verify(res, sigs, index_bound, coset_budget)
+    order = _pi1_order(res, sigs, coset_budget) if min(index_bound, coset_budget) >= 1 else None
+    return _verify(res, sigs, order, index_bound, coset_budget)

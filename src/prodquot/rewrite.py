@@ -2,9 +2,11 @@
 
 Given a finite-index subgroup's coset table, the subgroup is generated by the
 Schreier elements rep(c) * g * rep(c.g)^-1; those that reduce to the empty
-word (spanning-tree edges and accidental cancellations) are pruned.  Relators
-come from rewriting every ambient relator at every coset, and arbitrary
-subgroup elements can be rewritten into the new generators.
+word (the spanning-tree edges) are pruned.  Each remaining edge of the table
+is labelled with its generator, so rewriting a word is one walk through the
+table collecting labels.  Relators come from walking every ambient relator
+from every coset, and arbitrary subgroup elements rewrite the same way.
+Finite groups are evaluated through their Cayley tables.
 """
 
 from __future__ import annotations
@@ -12,13 +14,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .coset import CosetTable
+from .coset import CosetTable, word_to_cols
 from .presentation import Presentation
-from .words import Word, free_reduce
+from .words import Word, free_reduce, word_from_letters
 
 
 class WordNotInSubgroup(ValueError):
     """The word's coset walk did not return to the subgroup coset."""
+
+
+def _walk(
+    table: list[list[int]], labels: list[list[int]], coset: int, cols: Sequence[int]
+) -> tuple[list[int], int]:
+    """Follow columns from a coset; returns the edge labels met and the end."""
+    out: list[int] = []
+    c = coset
+    for col in cols:
+        label = labels[c][col]
+        if label:
+            out.append(label)
+        c = table[c][col]
+    return out, c
 
 
 @dataclass
@@ -28,29 +44,18 @@ class SubgroupPresentation:
     presentation: Presentation
     ambient: Presentation
     table: CosetTable
-    gen_of_edge: dict[tuple[int, int], int]  # (coset, ambient gen) -> subgroup gen
+    # labels[c][col], laid out like table.table: +-(subgroup gen + 1) for the
+    # Schreier generator the edge carries (negative walking it backwards),
+    # 0 on transversal edges
+    labels: list[list[int]]
     expansions: tuple[Word, ...]  # subgroup gen -> ambient word
 
     def rewrite(self, word: Word) -> Word:
         """Rewrite an ambient word lying in the subgroup."""
-        out: list[tuple[int, int]] = []
-        c = 0
-        table = self.table.table
-        for g, s in word.single_letters():
-            if s > 0:
-                edge = (c, g)
-                c = table[c][2 * g]
-                gen = self.gen_of_edge.get(edge)
-                if gen is not None:
-                    out.append((gen, 1))
-            else:
-                c = table[c][2 * g + 1]
-                gen = self.gen_of_edge.get((c, g))
-                if gen is not None:
-                    out.append((gen, -1))
-        if c != 0:
-            raise WordNotInSubgroup(f"word ends at coset {c}, not 0")
-        return free_reduce(out)
+        letters, end = _walk(self.table.table, self.labels, 0, word_to_cols(word))
+        if end != 0:
+            raise WordNotInSubgroup(f"word ends at coset {end}, not 0")
+        return word_from_letters(letters)
 
     def expand(self, word: Word) -> Word:
         """Send a subgroup word back to ambient generators."""
@@ -63,47 +68,48 @@ class SubgroupPresentation:
 def reidemeister_schreier(
     ambient: Presentation, table: CosetTable, prefix: str = "x"
 ) -> SubgroupPresentation:
+    """Schreier generators label the non-transversal edges; each relator at
+    coset c rewrites, up to free reduction, to the labels its walk from c
+    meets, which is the rewrite of rep(c) * relator * rep(c)^-1."""
     reps = table.transversal()
-    gen_of_edge: dict[tuple[int, int], int] = {}
+    rows = table.table
+    labels = [[0] * (2 * ambient.ngens) for _ in range(table.index)]
     expansions: list[Word] = []
-    names: list[str] = []
     for c in range(table.index):
         for g in range(ambient.ngens):
-            target = table.table[c][2 * g]
+            target = rows[c][2 * g]
             word = reps[c] * Word(((g, 1),)) * reps[target].inverse()
             if word.is_identity():
                 continue
-            gen_of_edge[(c, g)] = len(names)
-            names.append(f"{prefix}{len(names)}")
             expansions.append(word)
-    sub = SubgroupPresentation(
-        Presentation(tuple(names)),
-        ambient,
-        table,
-        gen_of_edge,
-        tuple(expansions),
-    )
+            labels[c][2 * g] = len(expansions)
+            labels[target][2 * g + 1] = -len(expansions)
     relators: list[Word] = []
+    rel_cols = [word_to_cols(rel) for rel in ambient.relators]
     for c in range(table.index):
-        rep = reps[c]
-        for rel in ambient.relators:
-            shifted = rep * rel * rep.inverse()
-            rewritten = sub.rewrite(shifted)
+        for cols in rel_cols:
+            rewritten = word_from_letters(_walk(rows, labels, c, cols)[0])
             if not rewritten.is_identity():
                 relators.append(rewritten)
-    sub.presentation = Presentation(tuple(names), tuple(relators))
-    return sub
+    names = tuple(f"{prefix}{i}" for i in range(len(expansions)))
+    return SubgroupPresentation(
+        Presentation(names, tuple(relators)), ambient, table, labels, tuple(expansions)
+    )
 
 
 def evaluate_word(word: Word, gen_values: Sequence[int], group) -> int:
     """Evaluate a word in a finite group; gen_values are element indices."""
+    mul = group.cayley_table()
+    inverses = [group.inv_idx(v) for v in gen_values]
     acc = 0
     for g, e in word.letters:
-        v = gen_values[g]
-        if e < 0:
-            v = group.inv_idx(v)
-        for _ in range(abs(e)):
-            acc = group.mul_idx(acc, v)
+        if e > 0:
+            v = gen_values[g]
+        else:
+            v = inverses[g]
+            e = -e
+        for _ in range(e):
+            acc = mul[acc][v]
     return acc
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -82,7 +83,7 @@ class Word:
         return {g for g, _ in self.letters}
 
     def max_generator(self) -> int:
-        return max((g for g, _ in self.letters), default=-1)
+        return max(map(itemgetter(0), self.letters), default=-1)
 
     def shift(self, offset: int) -> "Word":
         """Reindex every generator by a fixed offset."""

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -182,6 +183,28 @@ def test_exit_code_validation(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     missing = tmp_path / "does-not-exist.json"
     assert main(["run", "--job", str(missing), "--quiet"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("projection", ["identity", "trivial"])
+def test_oversized_group_with_named_projection_is_a_validation_error(
+    tmp_path, capsys, projection
+):
+    # S7 has order 5040; checking a homomorphism on it needs 5040**2 pairs
+    doc = dict(
+        MINIMAL_JOB,
+        group={"degree": 7, "generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]},
+    )
+    doc["actions"] = [dict(MINIMAL_JOB["actions"][0], projection=projection)]
+    job = tmp_path / "s7.json"
+    job.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["run", "--job", str(job), "--quiet"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "actions[0].projection" in err
+    assert "Traceback" not in err
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize(

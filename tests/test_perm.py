@@ -3,6 +3,7 @@
 import pytest
 
 from prodquot.perm import (
+    DEFAULT_PAIR_BOUND,
     FiniteGroup,
     GroupHom,
     GroupTooLarge,
@@ -13,6 +14,7 @@ from prodquot.perm import (
     coset_representatives,
     cyclic_group,
     dihedral_group,
+    direct_product_group,
     identity_perm,
     intersect_subgroups,
     kernel,
@@ -224,3 +226,39 @@ def test_intersect_subgroups():
     assert intersect_subgroups(g, [rotations, rotations]).order == 3
     whole = intersect_subgroups(g, [])
     assert whole.order == g.order
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        symmetric_group(4),
+        dihedral_group(5),
+        direct_product_group(cyclic_group(2), cyclic_group(3)),
+    ],
+    ids=["S4", "D5", "Z2xZ3"],
+)
+def test_cayley_table_matches_permutation_products(group):
+    table = group.cayley_table()
+    assert len(table) == group.order
+    for a, row in enumerate(table):
+        assert len(row) == group.order
+        for b, ab in enumerate(row):
+            assert group.elements[ab] == group.elements[a] * group.elements[b]
+
+
+def test_generated_order_matches_closure():
+    g = symmetric_group(4)
+    for indices in ([], [0], [1], [1, 2], [3, 7, 11], list(range(g.order))):
+        gens = [g.elements[i] for i in indices]
+        expected = FiniteGroup(gens, degree=g.degree).order if gens else 1
+        assert g.generated_order(indices) == expected
+
+
+def test_mul_idx_beyond_the_pair_bound_raises_without_building_a_table():
+    g = symmetric_group(7)  # 5040**2 entries exceed the bound
+    assert g.order**2 > DEFAULT_PAIR_BOUND
+    with pytest.raises(GroupTooLarge, match=str(DEFAULT_PAIR_BOUND)):
+        g.mul_idx(1, 2)
+    assert g._table is None
+    # the element bookkeeping that needs no table still works
+    assert g.element_index(g.elements[17]) == 17

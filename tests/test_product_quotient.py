@@ -295,3 +295,24 @@ def test_structure_and_verify_never_overflow_on_bundled_jobs(monkeypatch):
         verify_from_pi1(res, budgets.verify_index_bound, budgets.max_cosets)
         monkeypatch.undo()
         assert not overflows, name
+
+
+def test_structure_with_verify_enumerates_a_finite_pi1_once(monkeypatch):
+    job = load_bundled_job("kummer")
+    budgets = job.budgets
+    res = build_pi1(job.actions, budgets.max_cosets, budgets.tietze_steps)
+    probes = []
+    original = pq._order_probe
+
+    def counting(*args, **kwargs):
+        probes.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pq, "_order_probe", counting)
+    rep = structure_from_pi1(
+        res, budgets.max_cosets, verify_index_bound=budgets.verify_index_bound
+    )
+    assert rep.pi1_order is not None
+    assert rep.verification.status == "FINITE"
+    assert rep.verification.order == rep.pi1_order
+    assert len(probes) == 1

@@ -1,11 +1,23 @@
 """Tests for Reidemeister–Schreier rewriting and finite-group presentations."""
 
+import json
+import random
+
 import pytest
 
+from prodquot.cli import bundled_job_names, load_bundled_job, parse_job
 from prodquot.corpus import build_corpus
 from prodquot.coset import todd_coxeter
-from prodquot.perm import cyclic_group, dihedral_group, symmetric_group
+from prodquot.perm import (
+    cyclic_group,
+    dihedral_group,
+    direct_product_group,
+    identity_perm,
+    quotient,
+    symmetric_group,
+)
 from prodquot.presentation import abelian_invariants, presentation, tietze_simplify
+from prodquot.product_quotient import _normal_closure_subgroup, build_pi1
 from prodquot.rewrite import (
     WordNotInSubgroup,
     evaluate_word,
@@ -13,7 +25,7 @@ from prodquot.rewrite import (
     kernel_subgroup_words,
     reidemeister_schreier,
 )
-from prodquot.words import Word
+from prodquot.words import Word, free_reduce
 
 
 def test_evaluate_word_basics():
@@ -125,3 +137,152 @@ def test_kernel_subgroup_words_give_kernel_index():
 
     with pytest.raises(ValueError, match="do not generate"):
         kernel_subgroup_words(p6, [0], z3)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        symmetric_group(4),
+        dihedral_group(5),
+        direct_product_group(cyclic_group(5), cyclic_group(5)),
+    ],
+    ids=["S4", "D5", "Z5xZ5"],
+)
+def test_evaluate_word_matches_permutation_products(group):
+    rng = random.Random(f"evaluate-word-{group.order}")
+    for _ in range(300):
+        values = [rng.randrange(group.order) for _ in range(3)]
+        word = free_reduce(
+            (rng.randrange(3), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randrange(10))
+        )
+        expected = identity_perm(group.degree)
+        for g, e in word.letters:
+            p = group.elements[values[g]]
+            if e < 0:
+                p = p.inverse()
+            for _ in range(abs(e)):
+                expected = expected * p
+        assert group.elements[evaluate_word(word, values, group)] == expected
+
+
+# ---------------------------------------------------------------------------
+# The label-table rewriting against the construction it replaced: Schreier
+# generators keyed by (coset, generator) and every relator rewritten as
+# rep * relator * rep^-1.
+
+
+def _reference_rs(ambient, table):
+    rows = table.table
+    reps = table.transversal()
+    gen_of_edge = {}
+    expansions = []
+    for c in range(table.index):
+        for g in range(ambient.ngens):
+            word = reps[c] * Word(((g, 1),)) * reps[rows[c][2 * g]].inverse()
+            if not word.is_identity():
+                gen_of_edge[(c, g)] = len(expansions)
+                expansions.append(word)
+
+    def rewrite(word):
+        out = []
+        c = 0
+        for g, s in word.single_letters():
+            if s > 0:
+                gen = gen_of_edge.get((c, g))
+                c = rows[c][2 * g]
+            else:
+                c = rows[c][2 * g + 1]
+                gen = gen_of_edge.get((c, g))
+            if gen is not None:
+                out.append((gen, s))
+        if c != 0:
+            raise WordNotInSubgroup(f"word ends at coset {c}, not 0")
+        return free_reduce(out)
+
+    relators = []
+    for c in range(table.index):
+        for rel in ambient.relators:
+            rewritten = rewrite(reps[c] * rel * reps[c].inverse())
+            if not rewritten.is_identity():
+                relators.append(rewritten)
+    return tuple(expansions), tuple(relators), rewrite
+
+
+def _check_against_reference(ambient, table, seed):
+    sub = reidemeister_schreier(ambient, table, prefix="z")
+    expansions, relators, rewrite = _reference_rs(ambient, table)
+    assert sub.expansions == expansions
+    assert sub.presentation.gens == tuple(f"z{i}" for i in range(len(expansions)))
+    assert sub.presentation.relators == relators
+    # rewriting: the conjugated relators, the generators' expansions and
+    # seeded products of expansions all lie in the subgroup
+    reps = table.transversal()
+    words = [
+        reps[c] * rel * reps[c].inverse()
+        for c in range(table.index)
+        for rel in ambient.relators
+    ]
+    words += list(expansions)
+    rng = random.Random(seed)
+    for _ in range(20):
+        w = Word()
+        for _ in range(rng.randrange(1, 6)):
+            if expansions:
+                w = w * (rng.choice(expansions) ** rng.choice((-2, -1, 1, 2)))
+        words.append(w)
+    for w in words:
+        assert sub.rewrite(w) == rewrite(w)
+    # and the walk rejects the ambient generators that leave coset 0
+    for g in range(ambient.ngens):
+        w = Word(((g, 1),))
+        if table.table[0][2 * g] != 0:
+            with pytest.raises(WordNotInSubgroup):
+                sub.rewrite(w)
+            with pytest.raises(WordNotInSubgroup):
+                rewrite(w)
+
+
+@pytest.mark.parametrize("name", bundled_job_names())
+def test_rs_matches_conjugate_and_rewrite_on_bundled_tables(name):
+    job = load_bundled_job(name)
+    res = build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
+    diag = res.diagonal
+    for j, lift in enumerate(diag.lifts):
+        _check_against_reference(lift.ambient, lift.table, f"{name}-lift-{j}")
+    _check_against_reference(diag.ambient, diag.table, f"{name}-diagonal")
+
+
+# Beauville's (Z/5)^2 surface: two commuting 5-cycles acting freely on two
+# genus-6 curves of signature (0; 5,5,5).
+BEAUVILLE_JOB = {
+    "schema": "prodquot-job/1",
+    "name": "beauville",
+    "group": {
+        "degree": 10,
+        "generators": [[1, 2, 3, 4, 0, 5, 6, 7, 8, 9], [0, 1, 2, 3, 4, 6, 7, 8, 9, 5]],
+    },
+    "actions": [
+        {
+            "projection": "identity",
+            "signature": {"genus": 0, "periods": [5, 5, 5]},
+            "vector": {"a": [], "b": [], "c": vector},
+        }
+        for vector in (["g0", "g1", "g0^4*g1^4"], ["g0*g1^2", "g0^3*g1^4", "g0*g1^4"])
+    ],
+    "outputs": ["verify"],
+}
+
+
+def test_rs_matches_conjugate_and_rewrite_on_beauville_canonical_candidate():
+    job = parse_job(json.dumps(BEAUVILLE_JOB))
+    res = build_pi1(job.actions)
+    g = res.diagonal.group
+    # the paper's canonical candidate: kernel of pi1 -> G / <stabilizers>
+    ns = _normal_closure_subgroup(g, {te.g for te in res.torsion})
+    quo, proj = quotient(g, ns)
+    values = [proj.apply_idx(v) for v in res.psi]
+    pres = res.presentation
+    table = todd_coxeter(pres, kernel_subgroup_words(pres, values, quo))
+    assert table.index == quo.order == 25
+    _check_against_reference(pres, table, "beauville-canonical")
