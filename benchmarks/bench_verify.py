@@ -105,9 +105,7 @@ def run_once() -> dict:
     seconds = dict.fromkeys(LAYERS, 0.0)
     install_timers(seconds)
     start = time.perf_counter()
-    report = verify_from_pi1(
-        res, job.budgets.verify_index_bound, job.budgets.max_cosets
-    )
+    report = verify_from_pi1(res, job.budgets.verify_index_bound)
     total = time.perf_counter() - start
     digest = report_digest(report)
     return {

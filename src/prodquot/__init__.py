@@ -60,13 +60,10 @@ from .product_quotient import (
     kill_maps,
     lift_group,
     lifted_orbifold_generators,
-    pi1_presentation,
     quotient_signatures,
-    structure_extension,
     structure_from_pi1,
     torsion_generators,
     verify_from_pi1,
-    verify_surface_subgroup,
 )
 from .rewrite import (
     WordNotInSubgroup,
@@ -124,7 +121,6 @@ __all__ = [
     "orbifold_presentation",
     "parse_word",
     "perm_from_cycles",
-    "pi1_presentation",
     "quotient",
     "quotient_presentation",
     "quotient_signature",
@@ -133,7 +129,6 @@ __all__ = [
     "riemann_hurwitz_genus",
     "smith_diagonal",
     "invariants_from_matrix",
-    "structure_extension",
     "structure_from_pi1",
     "surface_presentation",
     "symmetric_group",
@@ -143,6 +138,5 @@ __all__ = [
     "trivial_group",
     "validate_generating_vector",
     "verify_from_pi1",
-    "verify_surface_subgroup",
     "__version__",
 ]

@@ -29,7 +29,6 @@ from .product_quotient import (
     build_curve_action,
     build_pi1,
     freeness_check,
-    kill_maps,
     lifted_orbifold_generators,
     structure_from_pi1,
     torsion_generators,
@@ -264,8 +263,8 @@ def criterion_6() -> CriterionResult:
     for name in names:
         job = load_bundled_job(name)
         res = build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
-        kills = kill_maps(job.actions, res.torsion)
-        rep = structure_from_pi1(res, max_cosets=job.budgets.max_cosets)
+        kills = res.kills
+        rep = structure_from_pi1(res)
         bound = job.group.order ** (len(job.actions) - 1)
         if bound % rep.t_index_bound:
             failures.append(f"{name}: index bound {rep.t_index_bound} !| {bound}")

@@ -59,6 +59,9 @@ from .perm import (
 )
 from .presentation import Presentation, abelian_invariants
 from .product_quotient import (
+    DEFAULT_INDEX_BOUND,
+    DEFAULT_MAX_COSETS,
+    DEFAULT_TIETZE_STEPS,
     CurveAction,
     InvalidVector,
     Pi1Result,
@@ -77,9 +80,9 @@ JOB_SCHEMA = "prodquot-job/1"
 REPORT_SCHEMA = "prodquot-report/1"
 
 DEFAULT_BUDGETS = {
-    "max_cosets": 100_000,
-    "tietze_steps": 10_000,
-    "verify_index_bound": 8,
+    "max_cosets": DEFAULT_MAX_COSETS,
+    "tietze_steps": DEFAULT_TIETZE_STEPS,
+    "verify_index_bound": DEFAULT_INDEX_BOUND,
 }
 
 ALL_OUTPUTS = ("pi1", "abelianization", "structure", "verify", "freeness", "enumerate")
@@ -540,22 +543,10 @@ def run_job(job: Job, timing: bool = False, quiet: bool = True) -> dict:
                 inv = abelian_invariants(res.presentation)
                 results["abelianization"] = _invariants_doc(inv)
                 _log(quiet, f"abelianization: rank {inv.free_rank}, torsion {list(inv.torsion)}")
-            structure_rep: Optional[StructureReport] = None
             if "structure" in job.outputs:
-                want_verify = job.budgets.verify_index_bound if "verify" in job.outputs else None
-                structure_rep, ok = run_stage(
-                    "structure",
-                    lambda: structure_from_pi1(
-                        res,
-                        max_cosets=job.budgets.max_cosets,
-                        verify_index_bound=want_verify,
-                    ),
-                )
+                structure_rep, ok = run_stage("structure", lambda: structure_from_pi1(res))
                 if ok:
-                    doc = _structure_doc(structure_rep)
-                    if structure_rep.verification is not None:
-                        results["verify"] = _verification_doc(structure_rep.verification)
-                    results["structure"] = doc
+                    results["structure"] = _structure_doc(structure_rep)
                     _log(
                         quiet,
                         "structure: t-index "
@@ -563,19 +554,14 @@ def run_job(job: Job, timing: bool = False, quiet: bool = True) -> dict:
                         f"{' (exact)' if structure_rep.t_index_exact else ''}, "
                         f"deck-quotient bound {structure_rep.e_order_bound}",
                     )
-            if "verify" in job.outputs and "verify" not in results:
+            if "verify" in job.outputs:
                 verification, ok = run_stage(
                     "verify",
-                    lambda: verify_from_pi1(
-                        res,
-                        index_bound=job.budgets.verify_index_bound,
-                        coset_budget=job.budgets.max_cosets,
-                    ),
+                    lambda: verify_from_pi1(res, job.budgets.verify_index_bound),
                 )
                 if ok:
                     results["verify"] = _verification_doc(verification)
-            if "verify" in results and "overflow" not in results["verify"]:
-                _log(quiet, f"verify: {results['verify']['status']}")
+                    _log(quiet, f"verify: {verification.status}")
 
     if timing:
         report["timing"] = {k: round(v, 3) for k, v in sorted(stage_seconds.items())}

@@ -237,14 +237,6 @@ class FiniteGroup:
         return [self.parent.element_index(e) for e in self.elements]
 
 
-def group_from_generators(
-    generators: Sequence[Permutation],
-    degree: Optional[int] = None,
-    max_order: int = DEFAULT_ORDER_BOUND,
-) -> FiniteGroup:
-    return FiniteGroup(generators, degree=degree, max_order=max_order)
-
-
 def trivial_group(degree: int = 1) -> FiniteGroup:
     return FiniteGroup([], degree=degree)
 
@@ -329,20 +321,11 @@ class GroupHom:
     def apply_idx(self, a: int) -> int:
         return self._table[a]
 
-    def image_indices(self) -> list[int]:
-        return sorted(set(self._table))
-
     def is_surjective(self) -> bool:
         return len(set(self._table)) == self.target.order
 
     def kernel_indices(self) -> list[int]:
         return [a for a, v in enumerate(self._table) if v == 0]
-
-
-def homomorphism_from_images(
-    source: FiniteGroup, target: FiniteGroup, gen_images: Sequence[int]
-) -> GroupHom:
-    return GroupHom(source, target, gen_images)
 
 
 def identity_hom(g: FiniteGroup) -> GroupHom:

@@ -80,11 +80,7 @@ def direct_product_presentation(factors: Sequence[Presentation]) -> Presentation
         names = tuple(all_names)
     else:
         names = tuple(f"f{i}_{n}" for i, f in enumerate(factors) for n in f.gens)
-    offsets = []
-    total = 0
-    for f in factors:
-        offsets.append(total)
-        total += f.ngens
+    offsets = product_offsets(factors)
     relators: list[Word] = []
     for f, off in zip(factors, offsets):
         relators.extend(r.shift(off) for r in f.relators)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .abelian import AbelianInvariants
@@ -51,6 +52,7 @@ from .presentation import (
 )
 from .rewrite import (
     SubgroupPresentation,
+    bfs_section,
     evaluate_word,
     finite_group_presentation,
     kernel_subgroup_words,
@@ -66,22 +68,6 @@ _HOM_TUPLE_BOUND = 200_000
 
 class InvalidVector(ValueError):
     """A generating vector violated an order, relation, or generation check."""
-
-
-def _bfs_section(group: FiniteGroup, gen_values: Sequence[int]) -> tuple[Word, ...]:
-    """Shortest positive word per element, walking generators in order."""
-    reps: list[Optional[Word]] = [None] * group.order
-    reps[0] = Word()
-    queue = [0]
-    for x in queue:
-        for g, v in enumerate(gen_values):
-            t = group.mul_idx(x, v)
-            if reps[t] is None:
-                reps[t] = reps[x] * Word(((g, 1),))
-                queue.append(t)
-    if any(r is None for r in reps):
-        raise ValueError("images do not generate the group")
-    return tuple(reps)  # type: ignore[arg-type]
 
 
 def _pow_idx(group: FiniteGroup, a: int, n: int) -> int:
@@ -134,7 +120,7 @@ def build_curve_action(
     if violation is not None:
         raise InvalidVector(violation.message)
     genus = riemann_hurwitz_genus(vector.target.order, vector.signature)
-    section = _bfs_section(vector.target, vector.gen_images())
+    section = bfs_section(vector.target, vector.gen_images())
     return CurveAction(
         group,
         projection,
@@ -190,18 +176,13 @@ def lift_group(
     k = gpres.ngens
     ambient = direct_product_presentation([gpres, tpres])
     phi = action.vector.gen_images()
-    sec = action.section
     words: list[Word] = []
     # each G generator paired with an orbifold word of matching image
     for i, perm in enumerate(g.generators):
         target = action.p_of(g.element_index(perm))
-        words.append(Word(((i, 1),)) * sec[target].shift(k))
+        words.append(Word(((i, 1),)) * action.section[target].shift(k))
     # Schreier generators of ker phi, the second-coordinate kernel
-    for x in range(h.order):
-        for t, img in enumerate(phi):
-            w = sec[x] * Word(((t, 1),)) * sec[h.mul_idx(x, img)].inverse()
-            if not w.is_identity():
-                words.append(w.shift(k))
+    words.extend(w.shift(k) for w in kernel_subgroup_words(tpres, phi, h))
     table = todd_coxeter(ambient, words, max_cosets)
     if table.index != h.order:
         raise RuntimeError(f"lift has index {table.index}, expected {h.order}")
@@ -222,7 +203,7 @@ def lift_group(
             None,
             psi,
             tuple(Word(((x, 1),)) for x in range(tpres.ngens)),
-            _bfs_section(g, psi),
+            bfs_section(g, psi),
         )
     sub = reidemeister_schreier(ambient, table, prefix="s")
     gen_values = [g.element_index(p) for p in g.generators] + [0] * tpres.ngens
@@ -250,7 +231,7 @@ def lift_group(
         tz.old_to_new,
         psi,
         t_components,
-        _bfs_section(g, psi),
+        bfs_section(g, psi),
     )
 
 
@@ -311,12 +292,8 @@ def diagonal_lift_group(
         words.append(w)
     # Schreier generators of each later factor's image kernel
     for j in range(1, n):
-        sec = lifts[j].section
-        for a in range(g.order):
-            for x in range(fps[j].ngens):
-                w = sec[a] * Word(((x, 1),)) * sec[g.mul_idx(a, lifts[j].psi[x])].inverse()
-                if not w.is_identity():
-                    words.append(w.shift(offs[j]))
+        kws = kernel_subgroup_words(fps[j], lifts[j].psi, g)
+        words.extend(w.shift(offs[j]) for w in kws)
     table = todd_coxeter(ambient, words, max_cosets)
     expected = g.order ** (n - 1)
     if table.index != expected:
@@ -514,10 +491,32 @@ class Pi1Result:
     old_to_new: tuple[Word, ...]
     psi: tuple[int, ...]  # G element per surviving generator
     tietze_steps: int
+    max_cosets: int  # coset budget of every enumeration on this group
 
     def transport(self, word: Word) -> Word:
         """Carry a diagonal-lift word into the simplified presentation."""
         return transport_word(word, self.old_to_new)
+
+    @property
+    def actions(self) -> list[CurveAction]:
+        return [lift.action for lift in self.diagonal.lifts]
+
+    @cached_property
+    def kills(self) -> list[dict[int, set[int]]]:
+        return kill_maps(self.actions, self.torsion)
+
+    @cached_property
+    def quotient_signatures(self) -> tuple[Signature, ...]:
+        return quotient_signatures(self.actions, self.kills)
+
+    @cached_property
+    def order(self) -> Optional[int]:
+        """|pi1|, or None when it is infinite or overflows max_cosets.  pi1 is
+        a finite extension of a finite-index subgroup of the product of the
+        quotient orbifold groups, so only then is it finite and enumerated."""
+        if any(s.group_order() is None for s in self.quotient_signatures):
+            return None
+        return _order_probe(self.presentation, self.max_cosets)
 
 
 def torsion_word(diag: DiagonalLiftGroup, te: TorsionElement) -> Word:
@@ -556,15 +555,8 @@ def build_pi1(
         tz.old_to_new,
         psi,
         tz.steps_used,
+        max_cosets,
     )
-
-
-def pi1_presentation(
-    actions: Sequence[CurveAction],
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    tietze_steps: int = DEFAULT_TIETZE_STEPS,
-) -> Presentation:
-    return build_pi1(actions, max_cosets, tietze_steps).presentation
 
 
 def lifted_orbifold_generators(res: Pi1Result, factor: int) -> list[Word]:
@@ -637,7 +629,6 @@ class StructureReport:
     pi1_order: Optional[int]  # None: infinite, or finite beyond max_cosets
     orbifold_quotient_order: Optional[int]  # None: infinite
     intersection_kernel_order: int
-    verification: Optional[VerificationReport]
     notes: tuple[str, ...]
 
 
@@ -693,27 +684,14 @@ def _order_probe(p: Presentation, max_cosets: int) -> Optional[int]:
         return None
 
 
-def _pi1_order(res: Pi1Result, sigs: Sequence[Signature], max_cosets: int) -> Optional[int]:
-    """|pi1|, or None when it is infinite or overflows max_cosets.  pi1 is a
-    finite extension of a finite-index subgroup of the product of the
-    quotient orbifold groups, so only then is it finite and enumerated."""
-    if any(s.group_order() is None for s in sigs):
-        return None
-    return _order_probe(res.presentation, max_cosets)
-
-
-def structure_from_pi1(
-    res: Pi1Result,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    verify_index_bound: Optional[int] = None,
-) -> StructureReport:
-    acts = [lift.action for lift in res.diagonal.lifts]
+def structure_from_pi1(res: Pi1Result) -> StructureReport:
+    acts = res.actions
     g = res.diagonal.group
     n = len(acts)
     notes: list[str] = []
     free = freeness_check(acts)
-    kills = kill_maps(acts, res.torsion)
-    sigs = quotient_signatures(acts, kills)
+    kills = res.kills
+    sigs = res.quotient_signatures
     killed = [_killed_orbifold(a, k) for a, k in zip(acts, kills)]
     prod = direct_product_presentation(killed)
     offs = product_offsets(killed)
@@ -725,7 +703,7 @@ def structure_from_pi1(
         theta.append(w)
     ambient_index = g.order ** (n - 1)
     try:
-        t_index = todd_coxeter(prod, theta, max_cosets).index
+        t_index = todd_coxeter(prod, theta, res.max_cosets).index
         t_exact = True
     except CosetOverflow:
         t_index = ambient_index
@@ -733,7 +711,7 @@ def structure_from_pi1(
         notes.append("image index enumeration overflowed; reporting the a-priori bound")
     if ambient_index % t_index:
         raise RuntimeError("image index does not divide the ambient index")
-    pi1_order = _pi1_order(res, sigs, max_cosets)
+    pi1_order = res.order
     orders = [s.group_order() for s in sigs]
     orb_order = None if None in orders else math.prod(orders)
     if pi1_order is None:
@@ -769,9 +747,6 @@ def structure_from_pi1(
                 notes.append("kernel order unbounded within budget")
                 break
             e_bound *= full // s.group_order()
-    verification = None
-    if verify_index_bound is not None:
-        verification = _verify(res, sigs, pi1_order, verify_index_bound, max_cosets)
     return StructureReport(
         sigs,
         t_index,
@@ -783,19 +758,8 @@ def structure_from_pi1(
         pi1_order,
         orb_order,
         inter,
-        verification,
         tuple(notes),
     )
-
-
-def structure_extension(
-    actions: Sequence[CurveAction],
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    tietze_steps: int = DEFAULT_TIETZE_STEPS,
-    verify_index_bound: Optional[int] = None,
-) -> StructureReport:
-    res = build_pi1(actions, max_cosets, tietze_steps)
-    return structure_from_pi1(res, max_cosets, verify_index_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -844,19 +808,28 @@ def _surjections(p: Presentation, quo: FiniteGroup) -> Iterator[tuple[int, ...]]
 
 
 def _try_subgroup(
-    pres: Presentation,
+    res: Pi1Result,
     desc: str,
     quo: FiniteGroup,
     values: Sequence[int],
-    coset_budget: int,
+    tried: set[tuple[tuple[int, ...], ...]],
 ) -> Optional[VerificationReport]:
+    """Test the kernel of pi1 -> quo given by values.  tried holds the
+    standardized coset tables this search has met; a standardized table
+    determines its subgroup, so a kernel met again (surjections differing by
+    an automorphism of quo share one) was already rejected."""
+    pres = res.presentation
     words = kernel_subgroup_words(pres, values, quo)
     try:
-        table = todd_coxeter(pres, words, coset_budget)
+        table = todd_coxeter(pres, words, res.max_cosets)
     except CosetOverflow:
         return None
     if table.index != quo.order:
         raise RuntimeError("kernel enumeration disagrees with the quotient order")
+    key = tuple(map(tuple, table.table))
+    if key in tried:
+        return None
+    tried.add(key)
     sub = reidemeister_schreier(pres, table, prefix="v")
     inv = abelian_invariants(sub.presentation)
     if not inv.torsion and inv.free_rank % 2 == 0:
@@ -871,26 +844,20 @@ def _try_subgroup(
     return None
 
 
-def _verify(
-    res: Pi1Result,
-    sigs: Sequence[Signature],
-    order: Optional[int],
-    index_bound: int,
-    coset_budget: int,
-) -> VerificationReport:
-    """order is _pi1_order(res, sigs, coset_budget), which the caller has."""
-    if index_bound < 1 or coset_budget < 1:
+def _verify(res: Pi1Result, index_bound: int) -> VerificationReport:
+    if index_bound < 1:
         return VerificationReport("INCONCLUSIVE", detail="no search budget")
     pres = res.presentation
-    if order is not None:
+    if res.order is not None:
         return VerificationReport(
-            "FINITE", order=order, detail="fundamental group is finite"
+            "FINITE", order=res.order, detail="fundamental group is finite"
         )
-    if not all(s.is_hyperbolic() for s in sigs):
+    if not all(s.is_hyperbolic() for s in res.quotient_signatures):
         return VerificationReport(
             "INCONCLUSIVE", detail="quotient signatures are not all hyperbolic"
         )
     g = res.diagonal.group
+    tried: set[tuple[tuple[int, ...], ...]] = set()
     # canonical candidate: the acting group modulo the stabilizer images
     ns = _normal_closure_subgroup(g, {te.g for te in res.torsion})
     quo, proj = quotient(g, ns)
@@ -900,14 +867,13 @@ def _verify(
             if evaluate_word(rel, values, quo) != 0:
                 raise RuntimeError("acting-group images are not a homomorphism")
         report = _try_subgroup(
-            pres, f"acting group mod stabilizers (order {quo.order})", quo, values,
-            coset_budget,
+            res, f"acting group mod stabilizers (order {quo.order})", quo, values, tried
         )
         if report is not None:
             return report
     for desc, cand in _quotient_catalogue(index_bound):
         for tup in _surjections(pres, cand):
-            report = _try_subgroup(pres, desc, cand, tup, coset_budget)
+            report = _try_subgroup(res, desc, cand, tup, tried)
             if report is not None:
                 return report
     return VerificationReport(
@@ -915,23 +881,10 @@ def _verify(
     )
 
 
-def verify_surface_subgroup(
-    actions: Sequence[CurveAction],
-    index_bound: int = DEFAULT_INDEX_BOUND,
-    coset_budget: int = DEFAULT_MAX_COSETS,
-    tietze_steps: int = DEFAULT_TIETZE_STEPS,
-) -> VerificationReport:
-    res = build_pi1(actions, coset_budget, tietze_steps)
-    return verify_from_pi1(res, index_bound, coset_budget)
-
-
 def verify_from_pi1(
-    res: Pi1Result,
-    index_bound: int = DEFAULT_INDEX_BOUND,
-    coset_budget: int = DEFAULT_MAX_COSETS,
+    res: Pi1Result, index_bound: int = DEFAULT_INDEX_BOUND
 ) -> VerificationReport:
-    acts = [lift.action for lift in res.diagonal.lifts]
-    kills = kill_maps(acts, res.torsion)
-    sigs = quotient_signatures(acts, kills)
-    order = _pi1_order(res, sigs, coset_budget) if min(index_bound, coset_budget) >= 1 else None
-    return _verify(res, sigs, order, index_bound, coset_budget)
+    """Search for a finite-index subgroup of pi1 whose abelianization is
+    torsion-free of even rank, over quotients of order at most index_bound;
+    Todd-Coxeter runs under the coset budget res was built with."""
+    return _verify(res, index_bound)

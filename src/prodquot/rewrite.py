@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .coset import CosetTable, word_to_cols
 from .presentation import Presentation
-from .words import Word, free_reduce, word_from_letters
+from .words import Word, word_from_letters
 
 
 class WordNotInSubgroup(ValueError):
@@ -116,9 +116,10 @@ def evaluate_word(word: Word, gen_values: Sequence[int], group) -> int:
 def finite_group_presentation(group, names: Sequence[str] | None = None) -> Presentation:
     """Finite presentation of a permutation group on its own generators.
 
-    Relators are the Schreier elements of the identity subgroup over the
-    group's canonical element words (a prefix-closed transversal), then
-    Tietze-simplified.  Cached on the group object.
+    Relators are the distinct Schreier generators of the kernel of the free
+    group on the generators (``kernel_subgroup_words``; its shortest-word
+    section is the group's closure word chain), then Tietze-simplified.
+    Cached on the group object.
     """
     if group._presentation_cache is not None and names is None:
         return group._presentation_cache
@@ -130,17 +131,9 @@ def finite_group_presentation(group, names: Sequence[str] | None = None) -> Pres
     else:
         names = tuple(names)
     gen_idx = [group.element_index(g) for g in group.generators]
-    reps = [free_reduce((g, 1) for g in group.element_word(a)) for a in range(group.order)]
-    relators = []
-    seen = set()
-    for a in range(group.order):
-        for g in range(k):
-            t = group.mul_idx(a, gen_idx[g])
-            w = reps[a] * Word(((g, 1),)) * reps[t].inverse()
-            if not w.is_identity() and w.letters not in seen:
-                seen.add(w.letters)
-                relators.append(w)
-    pres = Presentation(names, tuple(relators))
+    free = Presentation(names, ())
+    relators = tuple(dict.fromkeys(kernel_subgroup_words(free, gen_idx, group)))
+    pres = Presentation(names, relators)
     simplified = tietze_simplify(pres).presentation
     if simplified.ngens != k:
         # generator elimination must not change the generating set here;
@@ -151,14 +144,9 @@ def finite_group_presentation(group, names: Sequence[str] | None = None) -> Pres
     return simplified
 
 
-def kernel_subgroup_words(p: Presentation, gen_values: Sequence[int], group) -> list[Word]:
-    """Schreier generators of the kernel of the map sending gens to gen_values.
-
-    The transversal is the canonical shortest-word section found by walking
-    the finite group with the presentation's generators.
-    """
-    order = group.order
-    reps: list[Word | None] = [None] * order
+def bfs_section(group, gen_values: Sequence[int]) -> tuple[Word, ...]:
+    """Shortest positive word per element, walking generators in order."""
+    reps: list[Word | None] = [None] * group.order
     reps[0] = Word()
     queue = [0]
     for h in queue:
@@ -169,8 +157,18 @@ def kernel_subgroup_words(p: Presentation, gen_values: Sequence[int], group) -> 
                 queue.append(t)
     if any(r is None for r in reps):
         raise ValueError("generator images do not generate the target group")
+    return tuple(reps)  # type: ignore[arg-type]
+
+
+def kernel_subgroup_words(p: Presentation, gen_values: Sequence[int], group) -> list[Word]:
+    """Schreier generators of the kernel of the map sending gens to gen_values.
+
+    The transversal is ``bfs_section(group, gen_values)``; generators that
+    reduce to the empty word (its tree edges) are dropped.
+    """
+    reps = bfs_section(group, gen_values)
     out: list[Word] = []
-    for h in range(order):
+    for h in range(group.order):
         for g, v in enumerate(gen_values):
             t = group.mul_idx(h, v)
             word = reps[h] * Word(((g, 1),)) * reps[t].inverse()

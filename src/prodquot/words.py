@@ -69,9 +69,6 @@ class Word:
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.letters)
 
-    def syllables(self) -> tuple[tuple[int, int], ...]:
-        return self.letters
-
     def single_letters(self) -> Iterator[tuple[int, int]]:
         """Yield (gen, +-1) letters with exponents expanded."""
         for gen, exp in self.letters:
@@ -94,9 +91,6 @@ class Word:
         for g, e in self.letters:
             sums[g] += e
         return sums
-
-
-IDENTITY = Word()
 
 
 def free_reduce(pairs: Iterable[tuple[int, int]]) -> Word:

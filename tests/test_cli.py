@@ -151,6 +151,11 @@ def test_timing_is_opt_in():
     assert "timing" not in run_job(job)
 
 
+def test_timing_reports_structure_and_verify_as_separate_stages():
+    job = load_bundled_job("kummer").with_outputs(["structure", "verify"])
+    assert sorted(run_job(job, timing=True)["timing"]) == ["pi1", "structure", "verify"]
+
+
 def test_enumerate_counts_match_direct_enumeration(tmp_path):
     out = tmp_path / "report.json"
     code = main(

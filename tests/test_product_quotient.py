@@ -1,10 +1,13 @@
 """End-to-end tests for fundamental groups of diagonal curve-product quotients."""
 
+import json
+
 import pytest
+from test_rewrite import BEAUVILLE_JOB
 
 import prodquot.product_quotient as pq
 from prodquot.acceptance import _brute_force_torsion_count
-from prodquot.cli import bundled_job_names, load_bundled_job
+from prodquot.cli import bundled_job_names, load_bundled_job, parse_job
 from prodquot.coset import CosetOverflow, todd_coxeter
 from prodquot.orbifold import (
     GeneratingVector,
@@ -59,15 +62,15 @@ def test_kummer_surface_pipeline():
     inv = abelian_invariants(res.presentation)
     assert (inv.free_rank, inv.torsion) == (0, ())
 
-    rep = structure_from_pi1(res, verify_index_bound=25)
+    rep = structure_from_pi1(res)
     assert rep.quotient_signatures == (Signature.of(0), Signature.of(0))
     assert rep.t_index_bound == 1 and rep.t_index_exact
     assert rep.e_order_bound == 1 and rep.e_order_exact
     assert not rep.freeness
     assert rep.pi1_order == 1
-    assert rep.verification is not None
-    assert rep.verification.status == "FINITE"
-    assert rep.verification.order == 1
+    ver = verify_from_pi1(res, index_bound=25)
+    assert ver.status == "FINITE"
+    assert ver.order == 1
 
 
 def test_kummer_freeness_witness():
@@ -99,7 +102,7 @@ def test_free_action_pipeline():
     image = curve_group_image_words(res)
     assert todd_coxeter(res.presentation, image, max_cosets=20_000).index == 2
 
-    rep = structure_from_pi1(res, verify_index_bound=25)
+    rep = structure_from_pi1(res)
     assert rep.quotient_signatures == (Signature.of(2), Signature.of(2))
     assert rep.t_index_bound == 2 and rep.t_index_exact
     assert rep.e_order_bound == 1 and rep.e_order_exact
@@ -289,10 +292,8 @@ def test_structure_and_verify_never_overflow_on_bundled_jobs(monkeypatch):
         budgets = job.budgets
         res = build_pi1(job.actions, budgets.max_cosets, budgets.tietze_steps)
         monkeypatch.setattr(pq, "todd_coxeter", counting)
-        structure_from_pi1(
-            res, budgets.max_cosets, verify_index_bound=budgets.verify_index_bound
-        )
-        verify_from_pi1(res, budgets.verify_index_bound, budgets.max_cosets)
+        structure_from_pi1(res)
+        verify_from_pi1(res, budgets.verify_index_bound)
         monkeypatch.undo()
         assert not overflows, name
 
@@ -309,10 +310,26 @@ def test_structure_with_verify_enumerates_a_finite_pi1_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(pq, "_order_probe", counting)
-    rep = structure_from_pi1(
-        res, budgets.max_cosets, verify_index_bound=budgets.verify_index_bound
-    )
+    rep = structure_from_pi1(res)
+    ver = verify_from_pi1(res, budgets.verify_index_bound)
     assert rep.pi1_order is not None
-    assert rep.verification.status == "FINITE"
-    assert rep.verification.order == rep.pi1_order
+    assert ver.status == "FINITE"
+    assert ver.order == rep.pi1_order
     assert len(probes) == 1
+
+
+def test_verify_rewrites_each_kernel_once(monkeypatch):
+    # On Beauville's surface H1 = (Z/5)^3, so at index bound 5 only cyclic(5)
+    # is a quotient: 124 surjections, one kernel per 4 of them (Aut(Z/5)).
+    res = build_pi1(parse_job(json.dumps(BEAUVILLE_JOB)).actions)
+    calls = []
+    original = pq.reidemeister_schreier
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pq, "reidemeister_schreier", counting)
+    ver = verify_from_pi1(res, index_bound=5)
+    assert ver.status == "INCONCLUSIVE"
+    assert len(calls) == 31
