@@ -6,7 +6,9 @@ points acting on two genus-6 curves with signature (0; 5,5,5), vectors
 (g0, g1, g0^-1*g1^-1) and (g0*g1^2, g0^3*g1^4, g0*g1^4).  pi1 is built once,
 untimed; each run times ``verify_from_pi1`` at the default index bound and
 splits its time over four layers (evaluate_word, Reidemeister-Schreier, SNF,
-Todd-Coxeter) by rebinding those names in every loaded prodquot module.  A
+and the kernel coset tables: fiber_product_table, plus todd_coxeter for a
+package that still enumerates them) by rebinding those names in every
+loaded prodquot module; a name the package lacks adds nothing.  A
 run exits 1 when the sha256 of the verification report differs from the
 frozen digest, so a speed change cannot change the answer.
 
@@ -59,12 +61,12 @@ JOB = {
 # sha256 of the verification report as sorted compact JSON (see report_digest)
 REPORT_DIGEST = "b5c0b61ac7d2a25a7766209216904be4fdc38f50b3c950b7f7b96711233074c4"
 
-# layer -> (module, function name)
+# layer -> (module, function names)
 LAYERS = {
-    "evaluate_s": ("prodquot.rewrite", "evaluate_word"),
-    "rs_s": ("prodquot.rewrite", "reidemeister_schreier"),
-    "snf_s": ("prodquot.abelian", "smith_diagonal"),
-    "coset_s": ("prodquot.coset", "todd_coxeter"),
+    "evaluate_s": ("prodquot.rewrite", ("evaluate_word",)),
+    "rs_s": ("prodquot.rewrite", ("reidemeister_schreier",)),
+    "snf_s": ("prodquot.abelian", ("smith_diagonal",)),
+    "coset_s": ("prodquot.coset", ("fiber_product_table", "todd_coxeter")),
 }
 
 
@@ -74,25 +76,31 @@ def report_digest(report) -> str:
 
 
 def install_timers(seconds: dict[str, float]) -> None:
-    """Rebind each layer's function, wherever a prodquot module names it, to
-    a wrapper adding its wall time to seconds[layer]."""
+    """Rebind each layer's functions, wherever a prodquot module names them,
+    to wrappers adding their wall time to seconds[layer]."""
     import importlib
 
-    for layer, (module, name) in LAYERS.items():
-        original = getattr(importlib.import_module(module), name)
+    for layer, (module, names) in LAYERS.items():
+        for name in names:
+            _rebind(getattr(importlib.import_module(module), name, None), layer, seconds)
 
-        def timed(*args, _f=original, _layer=layer, **kwargs):
-            start = time.perf_counter()
-            try:
-                return _f(*args, **kwargs)
-            finally:
-                seconds[_layer] += time.perf_counter() - start
 
-        for mod_name, mod in list(sys.modules.items()):
-            if mod is not None and mod_name.split(".")[0] == "prodquot":
-                for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        setattr(mod, attr, timed)
+def _rebind(original, layer: str, seconds: dict[str, float]) -> None:
+    if original is None:
+        return
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            seconds[layer] += time.perf_counter() - start
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is not None and mod_name.split(".")[0] == "prodquot":
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    setattr(mod, attr, timed)
 
 
 def run_once() -> dict:

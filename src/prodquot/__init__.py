@@ -9,7 +9,7 @@ search for a finite-index subgroup resembling a product of surface groups.
 """
 
 from .abelian import AbelianInvariants, invariants_from_matrix, smith_diagonal
-from .coset import CosetOverflow, CosetTable, todd_coxeter
+from .coset import CosetOverflow, CosetTable, fiber_product_table, todd_coxeter
 from .orbifold import (
     GeneratingVector,
     NegativeGenus,
@@ -110,6 +110,7 @@ __all__ = [
     "direct_product_presentation",
     "enumerate_generating_vectors",
     "evaluate_word",
+    "fiber_product_table",
     "finite_group_presentation",
     "free_reduce",
     "freeness_check",

@@ -23,8 +23,8 @@ from .orbifold import (
     orbifold_presentation,
     quotient_signature,
 )
-from .perm import FiniteGroup, cyclic_group, identity_hom, symmetric_group
-from .presentation import Presentation, abelian_invariants, quotient_presentation
+from .perm import cyclic_group, identity_hom, symmetric_group
+from .presentation import abelian_invariants, quotient_presentation
 from .product_quotient import (
     build_curve_action,
     build_pi1,
@@ -124,7 +124,7 @@ def criterion_3() -> CriterionResult:
     job = load_bundled_job("free-z2-genus3")
     free = freeness_check(job.actions)
     res = build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
-    words = kernel_subgroup_words(res.presentation, res.psi, job.group)
+    words = kernel_subgroup_words(res.psi, job.group)
     table = todd_coxeter(res.presentation, words, max_cosets=job.budgets.max_cosets)
     sub = reidemeister_schreier(res.presentation, table)
     inv = abelian_invariants(sub.presentation)

@@ -7,11 +7,13 @@ Words are column-coded: generator g forward is column 2*g, backward is
 through a union-find list whose merges always keep the smaller label, and
 coincidences are processed through a FIFO queue.  Completed tables are
 compressed and standardized, so for a fixed presentation, subgroup words and
-budget the resulting table is reproducible.
+budget the resulting table is reproducible.  Fiber products over a finite
+group need no enumeration: ``fiber_product_table`` reads their tables off it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,7 +47,6 @@ class CosetTable:
     """
 
     presentation: Presentation
-    subgroup_words: tuple[Word, ...]
     table: list[list[int]]
     tree: tuple[tuple[int, int], ...]  # per coset > 0: (parent coset, column)
 
@@ -84,14 +85,47 @@ def todd_coxeter(
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
-    sub = tuple(subgroup_words)
     if p.ngens == 0:
-        return CosetTable(p, sub, [[]], ())
+        return CosetTable(p, [[]], ())
     rel_cols = [w for w in (word_to_cols(r) for r in p.relators) if w]
-    sub_cols = [w for w in (word_to_cols(s) for s in sub) if w]
+    sub_cols = [w for w in (word_to_cols(s) for s in subgroup_words) if w]
     raw, parent = _hlt_enumerate(2 * p.ngens, rel_cols, sub_cols, max_cosets)
     table, tree = _compress_standardize(raw, parent)
-    return CosetTable(p, sub, table, tree)
+    return CosetTable(p, table, tree)
+
+
+def fiber_product_table(
+    p: Presentation, group, images: Sequence[Sequence[int]], max_cosets: int
+) -> CosetTable:
+    """Coset table of {(f_0, ..., f_{n-1}) : f_0 = ... = f_{n-1}} in the direct
+    product p, whose factor j's generators have group images ``images[j]``.
+
+    A tuple's coset is (f_0^-1 f_j) over j > 0: a factor-0 generator multiplies
+    every coordinate on the left by its inverse, a factor-j generator
+    multiplies coordinate j - 1 on the right.  A generator-free last factor
+    gives the kernel of p onto the group.  Raises CosetOverflow up front when
+    the |group|^(n-1) cosets exceed max_cosets.
+    """
+    if sum(map(len, images)) != p.ngens:
+        raise ValueError("one image per generator of the product required")
+    size = group.order ** (len(images) - 1)
+    if size > max_cosets:
+        raise CosetOverflow(size, max_cosets)
+    mul = group.cayley_table()
+    states = list(itertools.product(range(group.order), repeat=len(images) - 1))
+    index = {s: i for i, s in enumerate(states)}
+    raw: list[list[int]] = [[] for _ in states]
+    for j, factor_images in enumerate(images):
+        for a in factor_images:
+            for x in (a, group.inv_idx(a)):  # the generator's column, then its inverse's
+                left = mul[group.inv_idx(x)]
+                for row, s in zip(raw, states):
+                    if j:
+                        row.append(index[s[: j - 1] + (mul[s[j - 1]][x],) + s[j:]])
+                    else:
+                        row.append(index[tuple(left[c] for c in s)])
+    table, tree = _compress_standardize(raw, list(range(size)))
+    return CosetTable(p, table, tree)
 
 
 def _hlt_enumerate(ncols, rels, subs, max_cosets):

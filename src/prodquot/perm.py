@@ -385,23 +385,3 @@ def conjugating_element(g: FiniteGroup, a: int, b: int) -> Optional[int]:
         if g.conj_idx(h, a) == b:
             return h
     return None
-
-
-def coset_representatives(g: FiniteGroup, h: FiniteGroup) -> list[int]:
-    """Least-index representatives of the left cosets rep*H; identity first."""
-    h_idx = [g.element_index(e) for e in h.elements]
-    covered = [False] * g.order
-    reps = []
-    for e in range(g.order):
-        if not covered[e]:
-            reps.append(e)
-            for a in h_idx:
-                covered[g.mul_idx(e, a)] = True
-    return reps
-
-
-def intersect_subgroups(g: FiniteGroup, subs: Sequence[FiniteGroup]) -> FiniteGroup:
-    common = set(range(g.order))
-    for s in subs:
-        common &= {g.element_index(e) for e in s.elements}
-    return g.subgroup_from_indices(common)

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .abelian import AbelianInvariants, invariants_from_matrix
 from .words import (
     Word,
     _NAME,
     format_word,
-    free_reduce,
     parse_word,
     signed_letters,
     word_from_letters,

@@ -12,6 +12,10 @@ p_i : G -> H_i and a generating vector for H_i.  This module builds:
   * a structure report for the extension of the orbifold-quotient image
     by a finite kernel, and a bounded search for a finite-index subgroup
     that looks like a product of surface groups.
+
+The lift, the diagonal lift and the search's kernels are fiber products over
+a finite group, so their coset tables are read off it; Todd-Coxeter runs only
+for |pi1| and the index of its image in the orbifold quotients.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .abelian import AbelianInvariants
-from .coset import CosetOverflow, CosetTable, todd_coxeter
+from .coset import CosetOverflow, CosetTable, fiber_product_table, todd_coxeter
 from .orbifold import (
     GeneratingVector,
     Signature,
@@ -176,16 +180,8 @@ def lift_group(
     k = gpres.ngens
     ambient = direct_product_presentation([gpres, tpres])
     phi = action.vector.gen_images()
-    words: list[Word] = []
-    # each G generator paired with an orbifold word of matching image
-    for i, perm in enumerate(g.generators):
-        target = action.p_of(g.element_index(perm))
-        words.append(Word(((i, 1),)) * action.section[target].shift(k))
-    # Schreier generators of ker phi, the second-coordinate kernel
-    words.extend(w.shift(k) for w in kernel_subgroup_words(tpres, phi, h))
-    table = todd_coxeter(ambient, words, max_cosets)
-    if table.index != h.order:
-        raise RuntimeError(f"lift has index {table.index}, expected {h.order}")
+    p_images = [action.p_of(g.element_index(perm)) for perm in g.generators]
+    table = fiber_product_table(ambient, h, [p_images, phi], max_cosets)
     if len(action.kernel_indices) == 1:
         # faithful projection: (g, t) <-> t is an isomorphism with the
         # orbifold group, so reuse its presentation directly
@@ -282,22 +278,7 @@ def diagonal_lift_group(
     fps = [lift.presentation for lift in lifts]
     ambient = direct_product_presentation(fps)
     offs = product_offsets(fps)
-    words: list[Word] = []
-    # first-factor generators, completed to equal-image tuples by sections
-    for x in range(fps[0].ngens):
-        w = Word(((x, 1),))
-        img = lifts[0].psi[x]
-        for j in range(1, n):
-            w = w * lifts[j].section[img].shift(offs[j])
-        words.append(w)
-    # Schreier generators of each later factor's image kernel
-    for j in range(1, n):
-        kws = kernel_subgroup_words(fps[j], lifts[j].psi, g)
-        words.extend(w.shift(offs[j]) for w in kws)
-    table = todd_coxeter(ambient, words, max_cosets)
-    expected = g.order ** (n - 1)
-    if table.index != expected:
-        raise RuntimeError(f"diagonal lift has index {table.index}, expected {expected}")
+    table = fiber_product_table(ambient, g, [lift.psi for lift in lifts], max_cosets)
     sub = reidemeister_schreier(ambient, table, prefix="y")
     psi: list[int] = []
     factor_words: list[list[Word]] = [[] for _ in range(n)]
@@ -594,7 +575,7 @@ def curve_group_image_words(res: Pi1Result) -> list[Word]:
     out = []
     for j, lift in enumerate(diag.lifts):
         a = lift.action
-        kws = kernel_subgroup_words(a.orbifold(), a.vector.gen_images(), a.acting_group)
+        kws = kernel_subgroup_words(a.vector.gen_images(), a.acting_group)
         for kw in kws:
             parts = [Word()] * len(diag.lifts)
             parts[j] = lift.rewrite_pair(0, kw)
@@ -819,13 +800,10 @@ def _try_subgroup(
     determines its subgroup, so a kernel met again (surjections differing by
     an automorphism of quo share one) was already rejected."""
     pres = res.presentation
-    words = kernel_subgroup_words(pres, values, quo)
     try:
-        table = todd_coxeter(pres, words, res.max_cosets)
+        table = fiber_product_table(pres, quo, [values, ()], res.max_cosets)
     except CosetOverflow:
         return None
-    if table.index != quo.order:
-        raise RuntimeError("kernel enumeration disagrees with the quotient order")
     key = tuple(map(tuple, table.table))
     if key in tried:
         return None
@@ -885,6 +863,8 @@ def verify_from_pi1(
     res: Pi1Result, index_bound: int = DEFAULT_INDEX_BOUND
 ) -> VerificationReport:
     """Search for a finite-index subgroup of pi1 whose abelianization is
-    torsion-free of even rank, over quotients of order at most index_bound;
-    Todd-Coxeter runs under the coset budget res was built with."""
+    torsion-free of even rank, over quotients of order at most index_bound.
+    Each kernel's coset table is read off the quotient (``fiber_product_table``
+    with a trivial second factor); one larger than the coset budget res was
+    built with is skipped."""
     return _verify(res, index_bound)

@@ -5,7 +5,8 @@ Schreier elements rep(c) * g * rep(c.g)^-1; those that reduce to the empty
 word (the spanning-tree edges) are pruned.  Each remaining edge of the table
 is labelled with its generator, so rewriting a word is one walk through the
 table collecting labels.  Relators come from walking every ambient relator
-from every coset, and arbitrary subgroup elements rewrite the same way.
+from every coset (each walk must close, else the table is no coset action),
+and arbitrary subgroup elements rewrite the same way.
 Finite groups are evaluated through their Cayley tables.
 """
 
@@ -70,7 +71,8 @@ def reidemeister_schreier(
 ) -> SubgroupPresentation:
     """Schreier generators label the non-transversal edges; each relator at
     coset c rewrites, up to free reduction, to the labels its walk from c
-    meets, which is the rewrite of rep(c) * relator * rep(c)^-1."""
+    meets, which is the rewrite of rep(c) * relator * rep(c)^-1; a walk not
+    ending at c raises ValueError, as the table is then no coset action."""
     reps = table.transversal()
     rows = table.table
     labels = [[0] * (2 * ambient.ngens) for _ in range(table.index)]
@@ -87,8 +89,11 @@ def reidemeister_schreier(
     relators: list[Word] = []
     rel_cols = [word_to_cols(rel) for rel in ambient.relators]
     for c in range(table.index):
-        for cols in rel_cols:
-            rewritten = word_from_letters(_walk(rows, labels, c, cols)[0])
+        for i, cols in enumerate(rel_cols):
+            letters, end = _walk(rows, labels, c, cols)
+            if end != c:
+                raise ValueError(f"relator {i} walks from coset {c} to {end}")
+            rewritten = word_from_letters(letters)
             if not rewritten.is_identity():
                 relators.append(rewritten)
     names = tuple(f"{prefix}{i}" for i in range(len(expansions)))
@@ -131,8 +136,7 @@ def finite_group_presentation(group, names: Sequence[str] | None = None) -> Pres
     else:
         names = tuple(names)
     gen_idx = [group.element_index(g) for g in group.generators]
-    free = Presentation(names, ())
-    relators = tuple(dict.fromkeys(kernel_subgroup_words(free, gen_idx, group)))
+    relators = tuple(dict.fromkeys(kernel_subgroup_words(gen_idx, group)))
     pres = Presentation(names, relators)
     simplified = tietze_simplify(pres).presentation
     if simplified.ngens != k:
@@ -160,7 +164,7 @@ def bfs_section(group, gen_values: Sequence[int]) -> tuple[Word, ...]:
     return tuple(reps)  # type: ignore[arg-type]
 
 
-def kernel_subgroup_words(p: Presentation, gen_values: Sequence[int], group) -> list[Word]:
+def kernel_subgroup_words(gen_values: Sequence[int], group) -> list[Word]:
     """Schreier generators of the kernel of the map sending gens to gen_values.
 
     The transversal is ``bfs_section(group, gen_values)``; generators that

@@ -231,14 +231,26 @@ def test_bad_budget_override_is_a_usage_error(flag, value, capsys):
 
 
 def test_exit_code_overflow_still_writes_report(tmp_path):
+    # the lift of s3-pair has index |S3| = 6 > 2
     out = tmp_path / "report.json"
     code = main(
-        ["pi1", "--job", "kummer", "--max-cosets", "2", "--out", str(out), "--quiet"]
+        ["pi1", "--job", "s3-pair", "--max-cosets", "2", "--out", str(out), "--quiet"]
     )
     assert code == EXIT_OVERFLOW
     report = json.loads(out.read_text())
     assert report["status"] == "overflow"
     assert "overflow" in report["results"]["pi1"]
+
+
+def test_coset_budget_equal_to_the_lift_index_is_enough(tmp_path):
+    # kummer's lift and diagonal lift both have index 2: the budget is
+    # compared with the exact index, not with cosets an enumeration defines
+    out = tmp_path / "report.json"
+    code = main(
+        ["pi1", "--job", "kummer", "--max-cosets", "2", "--out", str(out), "--quiet"]
+    )
+    assert code == EXIT_OK
+    assert json.loads(out.read_text())["status"] == "ok"
 
 
 def test_run_subcommand_honors_job_outputs(tmp_path):

@@ -6,8 +6,8 @@ import json
 import pytest
 
 from prodquot.corpus import build_corpus
-from prodquot.coset import CosetOverflow, todd_coxeter
-from prodquot.perm import symmetric_group
+from prodquot.coset import CosetOverflow, fiber_product_table, todd_coxeter
+from prodquot.perm import cyclic_group, symmetric_group
 from prodquot.presentation import Presentation, presentation
 from prodquot.rewrite import evaluate_word
 from prodquot.words import Word
@@ -117,6 +117,18 @@ def test_overflow_reports_budget():
         todd_coxeter(small, (), max_cosets=2)
     with pytest.raises(ValueError):
         todd_coxeter(small, (), max_cosets=0)
+
+
+def test_fiber_product_checks_its_budget_and_generators_up_front():
+    # <a, b | [a, b]> onto Z/4 x trivial: index 4
+    p = presentation(["a", "b"], ["a*b*a^-1*b^-1"])
+    z4 = cyclic_group(4)
+    assert fiber_product_table(p, z4, [[1, 0], ()], max_cosets=4).index == 4
+    with pytest.raises(CosetOverflow) as exc:
+        fiber_product_table(p, z4, [[1, 0], ()], max_cosets=3)
+    assert exc.value.defined == 4
+    with pytest.raises(ValueError, match="one image per generator"):
+        fiber_product_table(p, z4, [[1], ()], max_cosets=4)
 
 
 def test_empty_presentation():

@@ -11,12 +11,10 @@ from prodquot.perm import (
     Permutation,
     centralizer,
     conjugating_element,
-    coset_representatives,
     cyclic_group,
     dihedral_group,
     direct_product_group,
     identity_perm,
-    intersect_subgroups,
     kernel,
     perm_from_cycles,
     quotient,
@@ -196,36 +194,6 @@ def test_conjugating_element_finds_least_witness():
     assert all(g.conj_idx(k, flip_a) != flip_b for k in range(h))
     assert conjugating_element(g, flip_a, cycle) is None
     assert conjugating_element(g, cycle, cycle) == 0
-
-
-def test_coset_representatives_cover_the_group():
-    g = dihedral_group(4)
-    rot = g.element_index(g.generators[0])
-    rotations = g.subgroup_from_indices(
-        {0, rot, g.mul_idx(rot, rot), g.mul_idx(rot, g.mul_idx(rot, rot))}
-    )
-    reps = coset_representatives(g, rotations)
-    assert reps[0] == 0
-    assert len(reps) == g.order // rotations.order
-    seen = set()
-    for r in reps:
-        coset = {g.mul_idx(r, h) for h in rotations.parent_indices()}
-        assert not (coset & seen)
-        assert min(coset) == r
-        seen |= coset
-    assert seen == set(range(g.order))
-
-
-def test_intersect_subgroups():
-    g = symmetric_group(3)
-    flip = g.element_index(perm_from_cycles(3, [(0, 1)]))
-    cycle = g.element_index(perm_from_cycles(3, [(0, 1, 2)]))
-    reflections = g.subgroup_from_indices({0, flip})
-    rotations = g.subgroup_from_indices({0, cycle, g.inv_idx(cycle)})
-    assert intersect_subgroups(g, [reflections, rotations]).order == 1
-    assert intersect_subgroups(g, [rotations, rotations]).order == 3
-    whole = intersect_subgroups(g, [])
-    assert whole.order == g.order
 
 
 @pytest.mark.parametrize(

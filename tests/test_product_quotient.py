@@ -8,13 +8,13 @@ from test_rewrite import BEAUVILLE_JOB
 import prodquot.product_quotient as pq
 from prodquot.acceptance import _brute_force_torsion_count
 from prodquot.cli import bundled_job_names, load_bundled_job, parse_job
-from prodquot.coset import CosetOverflow, todd_coxeter
+from prodquot.coset import CosetOverflow, fiber_product_table, todd_coxeter
 from prodquot.orbifold import (
     GeneratingVector,
     Signature,
     enumerate_generating_vectors,
 )
-from prodquot.perm import GroupHom, cyclic_group, symmetric_group
+from prodquot.perm import GroupHom, cyclic_group, quotient, symmetric_group
 from prodquot.presentation import abelian_invariants
 from prodquot.product_quotient import (
     InvalidVector,
@@ -27,7 +27,8 @@ from prodquot.product_quotient import (
     torsion_generators,
     verify_from_pi1,
 )
-from prodquot.rewrite import evaluate_word
+from prodquot.rewrite import evaluate_word, kernel_subgroup_words
+from prodquot.words import Word
 
 
 def _actions(job_name: str):
@@ -333,3 +334,64 @@ def test_verify_rewrites_each_kernel_once(monkeypatch):
     ver = verify_from_pi1(res, index_bound=5)
     assert ver.status == "INCONCLUSIVE"
     assert len(calls) == 31
+
+
+# Subgroup words that present the same fiber products to Todd-Coxeter: each
+# leading generator completed to an equal-image tuple by the later factors'
+# sections, plus Schreier generators of each later factor's image kernel.
+
+
+def _lift_words(lift):
+    action, k = lift.action, lift.group_gens
+    g = action.group
+    words = [
+        Word(((i, 1),)) * action.section[action.p_of(g.element_index(perm))].shift(k)
+        for i, perm in enumerate(g.generators)
+    ]
+    kws = kernel_subgroup_words(action.vector.gen_images(), action.acting_group)
+    return words + [w.shift(k) for w in kws]
+
+
+def _diagonal_words(diag):
+    lifts, offs = diag.lifts, diag.offsets
+    words = []
+    for x, img in enumerate(lifts[0].psi):
+        w = Word(((x, 1),))
+        for j in range(1, len(lifts)):
+            w = w * lifts[j].section[img].shift(offs[j])
+        words.append(w)
+    for j in range(1, len(lifts)):
+        words += [w.shift(offs[j]) for w in kernel_subgroup_words(lifts[j].psi, diag.group)]
+    return words
+
+
+def _assert_same_table(got, ambient, words, max_cosets):
+    want = todd_coxeter(ambient, words, max_cosets)
+    assert (got.table, got.tree) == (want.table, want.tree)
+
+
+@pytest.mark.parametrize("name", bundled_job_names())
+def test_fiber_product_tables_match_todd_coxeter_on_bundled_lifts(name):
+    job = load_bundled_job(name)
+    budget = job.budgets.max_cosets
+    diag = build_pi1(job.actions, budget, job.budgets.tietze_steps).diagonal
+    for lift in diag.lifts:
+        _assert_same_table(lift.table, lift.ambient, _lift_words(lift), budget)
+    _assert_same_table(diag.table, diag.ambient, _diagonal_words(diag), budget)
+
+
+def test_kernel_tables_match_todd_coxeter_on_beauville():
+    # the canonical candidate (the acting group mod stabilizers, order 25)
+    # and every surjection onto cyclic(5)
+    res = build_pi1(parse_job(json.dumps(BEAUVILLE_JOB)).actions)
+    pres = res.presentation
+    g = res.diagonal.group
+    quo, proj = quotient(g, pq._normal_closure_subgroup(g, {te.g for te in res.torsion}))
+    candidates = [(quo, tuple(proj.apply_idx(v) for v in res.psi))]
+    z5 = cyclic_group(5)
+    candidates += [(z5, tup) for tup in pq._surjections(pres, z5)]
+    assert len(candidates) == 1 + 124
+    for group, values in candidates:
+        table = fiber_product_table(pres, group, [values, ()], res.max_cosets)
+        assert table.index == group.order
+        _assert_same_table(table, pres, kernel_subgroup_words(values, group), res.max_cosets)

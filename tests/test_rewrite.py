@@ -7,7 +7,7 @@ import pytest
 
 from prodquot.cli import bundled_job_names, load_bundled_job, parse_job
 from prodquot.corpus import build_corpus
-from prodquot.coset import todd_coxeter
+from prodquot.coset import fiber_product_table, todd_coxeter
 from prodquot.perm import (
     cyclic_group,
     dihedral_group,
@@ -94,7 +94,7 @@ def test_rewrite_rejects_words_outside_the_subgroup():
 def test_rewrite_expand_round_trip_in_finite_group():
     entry = next(e for e in build_corpus() if e.name == "sym4")
     p, g = entry.presentation, entry.group
-    kw = kernel_subgroup_words(p, list(entry.gen_images), g)
+    kw = kernel_subgroup_words(list(entry.gen_images), g)
     t = todd_coxeter(p, kw, max_cosets=10_000)
     assert t.index == g.order
     sub = reidemeister_schreier(p, t)
@@ -111,7 +111,7 @@ def test_genus_two_surface_double_cover_is_genus_three():
         ["a1*b1*a1^-1*b1^-1*a2*b2*a2^-1*b2^-1"],
     )
     z2 = cyclic_group(2)
-    kw = kernel_subgroup_words(surf, [1, 0, 0, 0], z2)
+    kw = kernel_subgroup_words([1, 0, 0, 0], z2)
     t = todd_coxeter(surf, kw)
     assert t.index == 2
     sub = reidemeister_schreier(surf, t)
@@ -124,19 +124,28 @@ def test_genus_two_surface_double_cover_is_genus_three():
     assert len(simplified.relators) == 1
 
 
+def test_rs_rejects_a_table_that_is_not_a_coset_action():
+    # a -> 1 in Z/3 does not respect a^2 = 1, so the table read off Z/3 is
+    # no coset action of <a | a^2>: the relator's walk does not close
+    p = presentation(["a"], ["a^2"])
+    table = fiber_product_table(p, cyclic_group(3), [[1], ()], max_cosets=3)
+    with pytest.raises(ValueError, match="walks from coset 0"):
+        reidemeister_schreier(p, table)
+
+
 def test_kernel_subgroup_words_give_kernel_index():
     # Onto map from <a | a^6> to Z/3: the kernel has index 3.
     p6 = presentation(["a"], ["a^6"])
     z3 = cyclic_group(3)
-    kw = kernel_subgroup_words(p6, [1], z3)
+    kw = kernel_subgroup_words([1], z3)
     assert todd_coxeter(p6, kw).index == 3
 
     entry = next(e for e in build_corpus() if e.name == "sym3")
-    kw = kernel_subgroup_words(entry.presentation, list(entry.gen_images), entry.group)
+    kw = kernel_subgroup_words(list(entry.gen_images), entry.group)
     assert todd_coxeter(entry.presentation, kw).index == 6
 
     with pytest.raises(ValueError, match="do not generate"):
-        kernel_subgroup_words(p6, [0], z3)
+        kernel_subgroup_words([0], z3)
 
 
 @pytest.mark.parametrize(
@@ -283,6 +292,6 @@ def test_rs_matches_conjugate_and_rewrite_on_beauville_canonical_candidate():
     quo, proj = quotient(g, ns)
     values = [proj.apply_idx(v) for v in res.psi]
     pres = res.presentation
-    table = todd_coxeter(pres, kernel_subgroup_words(pres, values, quo))
+    table = todd_coxeter(pres, kernel_subgroup_words(values, quo))
     assert table.index == quo.order == 25
     _check_against_reference(pres, table, "beauville-canonical")
