@@ -38,7 +38,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from importlib import resources
 from typing import Any, Optional, Sequence
 
@@ -78,12 +78,6 @@ from .words import format_word, parse_word
 
 JOB_SCHEMA = "prodquot-job/1"
 REPORT_SCHEMA = "prodquot-report/1"
-
-DEFAULT_BUDGETS = {
-    "max_cosets": DEFAULT_MAX_COSETS,
-    "tietze_steps": DEFAULT_TIETZE_STEPS,
-    "verify_index_bound": DEFAULT_INDEX_BOUND,
-}
 
 ALL_OUTPUTS = ("pi1", "abelianization", "structure", "verify", "freeness", "enumerate")
 DEFAULT_OUTPUTS = ("pi1", "abelianization", "freeness", "structure")
@@ -151,9 +145,9 @@ def _perm(value: Any, degree: int, path: str) -> Permutation:
 
 @dataclass(frozen=True)
 class Budgets:
-    max_cosets: int = DEFAULT_BUDGETS["max_cosets"]
-    tietze_steps: int = DEFAULT_BUDGETS["tietze_steps"]
-    verify_index_bound: int = DEFAULT_BUDGETS["verify_index_bound"]
+    max_cosets: int = DEFAULT_MAX_COSETS
+    tietze_steps: int = DEFAULT_TIETZE_STEPS
+    verify_index_bound: int = DEFAULT_INDEX_BOUND
 
 
 @dataclass
@@ -173,11 +167,7 @@ class Job:
             return self
         budgets = replace(self.budgets, **updates)
         raw = dict(self.raw)
-        raw["budgets"] = {
-            "max_cosets": budgets.max_cosets,
-            "tietze_steps": budgets.tietze_steps,
-            "verify_index_bound": budgets.verify_index_bound,
-        }
+        raw["budgets"] = asdict(budgets)
         return Job(self.name, self.group, self.actions, budgets, self.outputs, raw)
 
     def with_outputs(self, outputs: Sequence[str]) -> "Job":
@@ -346,12 +336,12 @@ def parse_job(document: str) -> Job:
         )
 
     budgets_doc = _as_dict(top.get("budgets", {}), "budgets")
-    _check_keys(budgets_doc, tuple(DEFAULT_BUDGETS), "budgets")
-    values = dict(DEFAULT_BUDGETS)
-    for key in DEFAULT_BUDGETS:
-        if key in budgets_doc:
-            values[key] = _as_int(budgets_doc[key], f"budgets.{key}", minimum=1)
-    budgets = Budgets(**values)
+    keys = tuple(f.name for f in fields(Budgets))
+    _check_keys(budgets_doc, keys, "budgets")
+    budgets = Budgets(**{
+        key: _as_int(budgets_doc[key], f"budgets.{key}", minimum=1)
+        for key in keys if key in budgets_doc
+    })
 
     outputs_doc = _as_list(top.get("outputs", list(DEFAULT_OUTPUTS)), "outputs")
     outputs: list[str] = []
@@ -367,7 +357,7 @@ def parse_job(document: str) -> Job:
         "name": name,
         "group": group_echo,
         "actions": actions_echo,
-        "budgets": dict(sorted(values.items())),
+        "budgets": asdict(budgets),
         "outputs": outputs,
     }
     return Job(name, group, actions, budgets, tuple(outputs), raw)

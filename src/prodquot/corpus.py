@@ -45,7 +45,7 @@ def _entry(
     for rel in pres.relators:
         if evaluate_word(rel, idx, group) != 0:
             raise ValueError(f"{name}: relator fails in the permutation model")
-    if group.generated_order(idx) != group.order:
+    if len(group.generated(idx)) != group.order:
         raise ValueError(f"{name}: images do not generate the permutation model")
     return CorpusEntry(name, pres, group, idx)
 

@@ -188,7 +188,7 @@ def validate_generating_vector(v: GeneratingVector) -> Optional[VectorViolation]
         return VectorViolation(
             "relation", None, f"long relation evaluates to element {acc}, not identity"
         )
-    size = h.generated_order((*v.a_images, *v.b_images, *v.c_images))
+    size = len(h.generated((*v.a_images, *v.b_images, *v.c_images)))
     if size != h.order:
         return VectorViolation(
             "generation", None, f"images generate a subgroup of order {size} < {h.order}"
@@ -225,7 +225,7 @@ def enumerate_generating_vectors(
     def finish(cs: tuple[int, ...], abs_: tuple[int, ...]) -> None:
         a_imgs = abs_[0::2]
         b_imgs = abs_[1::2]
-        if h.generated_order((*a_imgs, *b_imgs, *cs)) != h.order:
+        if len(h.generated((*a_imgs, *b_imgs, *cs))) != h.order:
             return
         results.append(
             GeneratingVector(h, genus, periods, a_imgs, b_imgs, cs)

@@ -4,8 +4,11 @@ Elements are stored in the order a breadth-first closure from the generators
 discovers them (identity first, then right-multiplications in generator
 order), and every "least element" tie-break in the package refers to this
 index.  Index arithmetic goes through a Cayley table built on first use and
-limited to DEFAULT_PAIR_BOUND entries.  Groups are immutable once built
-(the table is a cache of fixed content) and safe to share across threads.
+limited to DEFAULT_PAIR_BOUND entries.  A subgroup is the sorted list of
+its element indices (``normal_closure``, ``centralizer``, a hom's
+``kernel_indices``), and ``quotient`` takes one.  Groups are immutable once
+built (the table is a cache of fixed content) and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -83,7 +86,6 @@ class FiniteGroup:
         generators: Sequence[Permutation],
         degree: Optional[int] = None,
         max_order: int = DEFAULT_ORDER_BOUND,
-        parent: Optional["FiniteGroup"] = None,
     ):
         if degree is None:
             if not generators:
@@ -116,7 +118,6 @@ class FiniteGroup:
         self._gen_of = gen_of
         self._inverse: Optional[list[int]] = None
         self._table: Optional[list[tuple[int, ...]]] = None
-        self.parent = parent
         self._presentation_cache = None
 
     @property
@@ -162,8 +163,9 @@ class FiniteGroup:
     def mul_idx(self, a: int, b: int) -> int:
         return (self._table or self.cayley_table())[a][b]
 
-    def generated_order(self, indices: Iterable[int]) -> int:
-        """Order of the subgroup generated by the given element indices."""
+    def generated(self, indices: Iterable[int]) -> list[int]:
+        """Element indices of the subgroup generated by the given ones, in
+        breadth-first order from the identity."""
         table = self.cayley_table()
         gens = sorted(set(indices) - {0})
         seen = bytearray(self.order)
@@ -176,7 +178,7 @@ class FiniteGroup:
                 if not seen[y]:
                     seen[y] = 1
                     queue.append(y)
-        return len(queue)
+        return queue
 
     def inv_idx(self, a: int) -> int:
         if self._inverse is None:
@@ -210,31 +212,6 @@ class FiniteGroup:
                     seen.add(y)
                     queue.append(y)
         return tuple(sorted(seen))
-
-    def subgroup_from_indices(self, indices: Iterable[int]) -> "FiniteGroup":
-        """Subgroup on the given closed element set, with a small generator set."""
-        wanted = sorted(set(indices))
-        gens: list[Permutation] = []
-        closure = {0}
-        for idx in wanted:
-            if idx in closure:
-                continue
-            gens.append(self.elements[idx])
-            sub = FiniteGroup(gens, degree=self.degree, parent=self)
-            closure = {self.element_index(e) for e in sub.elements}
-        if not gens:
-            return FiniteGroup([], degree=self.degree, parent=self)
-        sub = FiniteGroup(gens, degree=self.degree, parent=self)
-        got = sorted(self.element_index(e) for e in sub.elements)
-        if got != wanted:
-            raise ValueError("element set is not closed under the group operations")
-        return sub
-
-    def parent_indices(self) -> list[int]:
-        """Indices of this subgroup's elements inside its parent."""
-        if self.parent is None:
-            raise ValueError("group has no parent")
-        return [self.parent.element_index(e) for e in self.elements]
 
 
 def trivial_group(degree: int = 1) -> FiniteGroup:
@@ -337,18 +314,26 @@ def trivial_hom(g: FiniteGroup) -> GroupHom:
     return GroupHom(g, t, [0] * len(g.generators))
 
 
-def kernel(hom: GroupHom) -> FiniteGroup:
-    return hom.source.subgroup_from_indices(hom.kernel_indices())
+def normal_closure(group: FiniteGroup, seeds: Iterable[int]) -> list[int]:
+    """Sorted element indices of the smallest normal subgroup containing the
+    seeds: the subgroup generated by all their conjugates."""
+    conjugates: set[int] = set()
+    for s in seeds:
+        conjugates.update(group.conjugacy_class(s))
+    return sorted(group.generated(conjugates))
 
 
-def quotient(g: FiniteGroup, n: FiniteGroup) -> tuple[FiniteGroup, GroupHom]:
-    """Quotient by a normal subgroup, realized on the left cosets.
+def quotient(g: FiniteGroup, normal: Iterable[int]) -> tuple[FiniteGroup, GroupHom]:
+    """Quotient by a normal subgroup, given by its element indices and
+    realized on the left cosets.
 
-    Returns (quotient group, projection hom).  n must be a subgroup of g
-    (its elements must lie in g) and normal in it.
+    Returns (quotient group, projection hom).  Raises ValueError when the
+    indices are not closed under products or not normal in g.
     """
-    n_idx = sorted(g.element_index(e) for e in n.elements)
+    n_idx = sorted(set(normal))
     n_set = set(n_idx)
+    if 0 not in n_set or any(g.mul_idx(a, b) not in n_set for a in n_idx for b in n_idx):
+        raise ValueError("element set is not closed under the group operations")
     for gen in g.generators:
         gi = g.element_index(gen)
         for a in n_idx:
@@ -369,14 +354,14 @@ def quotient(g: FiniteGroup, n: FiniteGroup) -> tuple[FiniteGroup, GroupHom]:
         images.append(Permutation(tuple(coset_of[g.mul_idx(gi, reps[c])] for c in range(k))))
     q = FiniteGroup(images, degree=k) if images else trivial_group(max(k, 1))
     proj = GroupHom(g, q, [q.element_index(p) for p in images])
-    if g.order != n.order * q.order:
+    if g.order != len(n_idx) * q.order:
         raise AssertionError("quotient order mismatch")
     return q, proj
 
 
-def centralizer(g: FiniteGroup, a: int) -> FiniteGroup:
-    hits = [h for h in range(g.order) if g.mul_idx(h, a) == g.mul_idx(a, h)]
-    return g.subgroup_from_indices(hits)
+def centralizer(g: FiniteGroup, a: int) -> list[int]:
+    """Sorted element indices of the centralizer of a."""
+    return [h for h in range(g.order) if g.mul_idx(h, a) == g.mul_idx(a, h)]
 
 
 def conjugating_element(g: FiniteGroup, a: int, b: int) -> Optional[int]:

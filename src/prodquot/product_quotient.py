@@ -14,8 +14,9 @@ p_i : G -> H_i and a generating vector for H_i.  This module builds:
     that looks like a product of surface groups.
 
 The lift, the diagonal lift and the search's kernels are fiber products over
-a finite group, so their coset tables are read off it; Todd-Coxeter runs only
-for |pi1| and the index of its image in the orbifold quotients.
+a finite group, so their coset tables are read off it, and the index of pi1's
+image in the orbifold quotients is counted in the acting groups; Todd-Coxeter
+runs only for |pi1|.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .perm import (
     cyclic_group,
     dihedral_group,
     direct_product_group,
+    normal_closure,
     quotient,
 )
 from .presentation import (
@@ -152,7 +154,6 @@ class LiftGroup:
     presentation: Presentation  # simplified from the raw rewriting
     old_to_new: Optional[tuple[Word, ...]]  # raw subgroup generator -> simplified word
     psi: tuple[int, ...]  # G element per simplified generator
-    t_components: tuple[Word, ...]  # orbifold word per simplified generator
     section: tuple[Word, ...]  # G element -> simplified word with that image
 
     def embed(self, g_idx: int, t_word: Word) -> Word:
@@ -198,24 +199,16 @@ def lift_group(
             tpres,
             None,
             psi,
-            tuple(Word(((x, 1),)) for x in range(tpres.ngens)),
             bfs_section(g, psi),
         )
     sub = reidemeister_schreier(ambient, table, prefix="s")
     gen_values = [g.element_index(p) for p in g.generators] + [0] * tpres.ngens
     raw_psi = [evaluate_word(w, gen_values, g) for w in sub.expansions]
-    raw_t = [
-        free_reduce((gi - k, e) for gi, e in w.letters if gi >= k)
-        for w in sub.expansions
-    ]
     tz = tietze_simplify(sub.presentation, tietze_steps)
     positions = {name: i for i, name in enumerate(sub.presentation.gens)}
     survivors = [positions[name] for name in tz.presentation.gens]
     psi = tuple(raw_psi[i] for i in survivors)
-    # surviving generators denote the same subgroup elements, so their
-    # orbifold components carry over unchanged
-    t_components = tuple(raw_t[i] for i in survivors)
-    if g.generated_order(psi) != g.order:
+    if len(g.generated(psi)) != g.order:
         raise RuntimeError("lift generators do not map onto the acting group")
     return LiftGroup(
         action,
@@ -226,7 +219,6 @@ def lift_group(
         tz.presentation,
         tz.old_to_new,
         psi,
-        t_components,
         bfs_section(g, psi),
     )
 
@@ -245,7 +237,6 @@ class DiagonalLiftGroup:
     table: CosetTable
     subgroup: SubgroupPresentation
     psi: tuple[int, ...]  # common G element per generator
-    factor_words: tuple[tuple[Word, ...], ...]  # [factor][generator] -> orbifold word
 
     @property
     def presentation(self) -> Presentation:
@@ -281,21 +272,16 @@ def diagonal_lift_group(
     table = fiber_product_table(ambient, g, [lift.psi for lift in lifts], max_cosets)
     sub = reidemeister_schreier(ambient, table, prefix="y")
     psi: list[int] = []
-    factor_words: list[list[Word]] = [[] for _ in range(n)]
     for w in sub.expansions:
         coords = []
         for j in range(n):
             lo, hi = offs[j], offs[j] + fps[j].ngens
             part = free_reduce((gi - lo, e) for gi, e in w.letters if lo <= gi < hi)
             coords.append(evaluate_word(part, lifts[j].psi, g))
-            tw = Word()
-            for x, e in part.letters:
-                tw = tw * (lifts[j].t_components[x] ** e)
-            factor_words[j].append(tw)
         if len(set(coords)) != 1:
             raise RuntimeError("factor images disagree on a diagonal generator")
         psi.append(coords[0])
-    if g.generated_order(psi) != g.order:
+    if len(g.generated(psi)) != g.order:
         raise RuntimeError("diagonal generators do not map onto the acting group")
     return DiagonalLiftGroup(
         tuple(lifts),
@@ -304,7 +290,6 @@ def diagonal_lift_group(
         table,
         sub,
         tuple(psi),
-        tuple(tuple(fw) for fw in factor_words),
     )
 
 
@@ -365,7 +350,7 @@ def _factor_options(action: CurveAction, target: int) -> list[TorsionFactor]:
             c = conjugating_element(h, base, target)
             if c is None:
                 continue
-            for v in sorted(centralizer(h, base).parent_indices()):
+            for v in centralizer(h, base):
                 opts.append(TorsionFactor(q, ell, action.section[h.mul_idx(c, v)]))
     return opts
 
@@ -649,15 +634,6 @@ def quotient_signatures(
     )
 
 
-def _killed_orbifold(action: CurveAction, kill: dict[int, set[int]]) -> Presentation:
-    genus = action.vector.genus
-    extra = []
-    for q in sorted(kill):
-        for e in sorted(kill[q]):
-            extra.append(Word(((2 * genus + q, e),)))
-    return quotient_presentation(action.orbifold(), extra)
-
-
 def _order_probe(p: Presentation, max_cosets: int) -> Optional[int]:
     try:
         return todd_coxeter(p, [], max_cosets).index
@@ -673,24 +649,18 @@ def structure_from_pi1(res: Pi1Result) -> StructureReport:
     free = freeness_check(acts)
     kills = res.kills
     sigs = res.quotient_signatures
-    killed = [_killed_orbifold(a, k) for a, k in zip(acts, kills)]
-    prod = direct_product_presentation(killed)
-    offs = product_offsets(killed)
-    theta = []
-    for gen in range(res.raw_presentation.ngens):
-        w = Word()
-        for j in range(n):
-            w = w * res.diagonal.factor_words[j][gen].shift(offs[j])
-        theta.append(w)
-    ambient_index = g.order ** (n - 1)
-    try:
-        t_index = todd_coxeter(prod, theta, res.max_cosets).index
-        t_exact = True
-    except CosetOverflow:
-        t_index = ambient_index
-        t_exact = False
-        notes.append("image index enumeration overflowed; reporting the a-priori bound")
-    if ambient_index % t_index:
+    # [prod T_i' : im pi1] = [prod H_i : D * prod M_i], where D is G's
+    # diagonal image and M_i the normal closure of the killed period powers
+    t_index = 1
+    in_closures = set(range(g.order))
+    for a, kill in zip(acts, kills):
+        h = a.acting_group
+        seeds = {_pow_idx(h, a.vector.c_images[q], e) for q in kill for e in kill[q]}
+        m = set(normal_closure(h, seeds))
+        t_index *= h.order // len(m)
+        in_closures = {e for e in in_closures if a.p_of(e) in m}
+    t_index = t_index * len(in_closures) // g.order
+    if g.order ** (n - 1) % t_index:
         raise RuntimeError("image index does not divide the ambient index")
     pi1_order = res.order
     orders = [s.group_order() for s in sigs]
@@ -705,7 +675,7 @@ def structure_from_pi1(res: Pi1Result) -> StructureReport:
         e_exact = inter == 1
         if not e_exact:
             notes.append("joint-kernel count reported as the kernel bound")
-    elif pi1_order is not None and orb_order is not None and t_exact:
+    elif pi1_order is not None and orb_order is not None:
         if orb_order % t_index:
             raise RuntimeError("image order bookkeeping failed")
         t_order = orb_order // t_index
@@ -731,7 +701,7 @@ def structure_from_pi1(res: Pi1Result) -> StructureReport:
     return StructureReport(
         sigs,
         t_index,
-        t_exact,
+        True,
         e_bound,
         e_exact,
         free.is_free,
@@ -745,18 +715,6 @@ def structure_from_pi1(res: Pi1Result) -> StructureReport:
 
 # ---------------------------------------------------------------------------
 # Bounded search for a finite-index product-of-surface-groups subgroup.
-
-
-def _normal_closure_subgroup(g: FiniteGroup, seeds: set[int]) -> FiniteGroup:
-    current = set(seeds) | {0}
-    while True:
-        gens = [g.elements[i] for i in sorted(current) if i]
-        sub = FiniteGroup(gens, degree=g.degree, parent=g)
-        closed = set(sub.parent_indices())
-        extra = {g.conj_idx(h, s) for h in range(g.order) for s in closed}
-        if extra <= closed:
-            return sub
-        current = closed | extra
 
 
 def _quotient_catalogue(index_bound: int) -> list[tuple[str, FiniteGroup]]:
@@ -783,7 +741,7 @@ def _surjections(p: Presentation, quo: FiniteGroup) -> Iterator[tuple[int, ...]]
     for tup in itertools.product(range(quo.order), repeat=k):
         if any(evaluate_word(r, tup, quo) != 0 for r in p.relators):
             continue
-        if quo.generated_order(tup) != quo.order:
+        if len(quo.generated(tup)) != quo.order:
             continue
         yield tup
 
@@ -837,8 +795,7 @@ def _verify(res: Pi1Result, index_bound: int) -> VerificationReport:
     g = res.diagonal.group
     tried: set[tuple[tuple[int, ...], ...]] = set()
     # canonical candidate: the acting group modulo the stabilizer images
-    ns = _normal_closure_subgroup(g, {te.g for te in res.torsion})
-    quo, proj = quotient(g, ns)
+    quo, proj = quotient(g, normal_closure(g, {te.g for te in res.torsion}))
     if quo.order <= index_bound:
         values = tuple(proj.apply_idx(v) for v in res.psi)
         for rel in pres.relators:

@@ -118,7 +118,7 @@ def evaluate_word(word: Word, gen_values: Sequence[int], group) -> int:
     return acc
 
 
-def finite_group_presentation(group, names: Sequence[str] | None = None) -> Presentation:
+def finite_group_presentation(group) -> Presentation:
     """Finite presentation of a permutation group on its own generators.
 
     Relators are the distinct Schreier generators of the kernel of the free
@@ -126,25 +126,20 @@ def finite_group_presentation(group, names: Sequence[str] | None = None) -> Pres
     section is the group's closure word chain), then Tietze-simplified.
     Cached on the group object.
     """
-    if group._presentation_cache is not None and names is None:
+    if group._presentation_cache is not None:
         return group._presentation_cache
     from .presentation import tietze_simplify
 
     k = len(group.generators)
-    if names is None:
-        names = tuple(f"g{i}" for i in range(k))
-    else:
-        names = tuple(names)
     gen_idx = [group.element_index(g) for g in group.generators]
     relators = tuple(dict.fromkeys(kernel_subgroup_words(gen_idx, group)))
-    pres = Presentation(names, relators)
+    pres = Presentation(tuple(f"g{i}" for i in range(k)), relators)
     simplified = tietze_simplify(pres).presentation
     if simplified.ngens != k:
         # generator elimination must not change the generating set here;
         # fall back to the raw Schreier presentation
         simplified = pres
-    if names == tuple(f"g{i}" for i in range(k)):
-        group._presentation_cache = simplified
+    group._presentation_cache = simplified
     return simplified
 
 

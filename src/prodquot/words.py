@@ -59,10 +59,6 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
-    def conjugate_by(self, u: "Word") -> "Word":
-        """u * self * u^-1."""
-        return u * self * u.inverse()
-
     def is_identity(self) -> bool:
         return not self.letters
 

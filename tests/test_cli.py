@@ -253,6 +253,20 @@ def test_coset_budget_equal_to_the_lift_index_is_enough(tmp_path):
     assert json.loads(out.read_text())["status"] == "ok"
 
 
+@pytest.mark.parametrize("name, budget, index", [("kummer", 2, 1), ("s3-free-pair", 6, 6)])
+def test_structure_image_index_is_exact_at_small_budgets(tmp_path, name, budget, index):
+    # the image index is counted in the acting groups, under no coset budget
+    out = tmp_path / "report.json"
+    code = main(
+        ["structure", "--job", name, "--max-cosets", str(budget), "--out", str(out), "--quiet"]
+    )
+    assert code == EXIT_OK
+    structure = json.loads(out.read_text())["results"]["structure"]
+    assert structure["t_index_bound"] == index
+    assert structure["t_index_exact"] is True
+    assert not any("image index enumeration overflowed" in n for n in structure["notes"])
+
+
 def test_run_subcommand_honors_job_outputs(tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", "--job", "one-factor-z2", "--out", str(out), "--quiet"]) == EXIT_OK

@@ -15,7 +15,7 @@ from prodquot.perm import (
     dihedral_group,
     direct_product_group,
     identity_perm,
-    kernel,
+    normal_closure,
     perm_from_cycles,
     quotient,
     symmetric_group,
@@ -107,20 +107,15 @@ def test_conjugacy_classes_partition_s3():
     assert g.conjugacy_class(0) == (0,)
 
 
-def test_subgroup_from_indices_requires_closure():
-    g = symmetric_group(3)
-    three_cycle = g.element_index(perm_from_cycles(3, [(0, 1, 2)]))
-    rotations = {0, three_cycle, g.inv_idx(three_cycle)}
-    sub = g.subgroup_from_indices(rotations)
-    assert sub.order == 3
-    assert sorted(sub.parent_indices()) == sorted(rotations)
-    with pytest.raises(ValueError):
-        g.subgroup_from_indices({0, three_cycle})  # missing the inverse
-
-
-def test_parent_indices_requires_parent():
-    with pytest.raises(ValueError):
-        symmetric_group(3).parent_indices()
+def test_quotient_requires_a_closed_index_set():
+    s3 = symmetric_group(3)
+    three_cycle = s3.element_index(perm_from_cycles(3, [(0, 1, 2)]))
+    rotations = {0, three_cycle, s3.inv_idx(three_cycle)}
+    q, proj = quotient(s3, rotations)
+    assert q.order == 2
+    assert sorted(proj.kernel_indices()) == sorted(rotations)
+    with pytest.raises(ValueError, match="not closed"):
+        quotient(s3, {0, three_cycle})  # missing the inverse
 
 
 def test_hom_validation_and_kernel():
@@ -132,9 +127,9 @@ def test_hom_validation_and_kernel():
     assert s3.generators[1].order() == 3
     sign = GroupHom(s3, c2, [1, 0])
     assert sign.is_surjective()
-    ker = kernel(sign)
-    assert ker.order == 3
-    assert all(s3.elements[i].order() in (1, 3) for i in ker.parent_indices())
+    ker = sign.kernel_indices()
+    assert len(ker) == 3
+    assert all(s3.elements[i].order() in (1, 3) for i in ker)
     with pytest.raises(NotAHomomorphism):
         GroupHom(s3, c2, [1, 1])  # 3-cycle cannot map to an involution
 
@@ -142,28 +137,26 @@ def test_hom_validation_and_kernel():
 def test_trivial_and_identity_homs():
     g = dihedral_group(4)
     t = trivial_hom(g)
-    assert kernel(t).order == g.order
+    assert len(t.kernel_indices()) == g.order
     ident = GroupHom(g, g, [g.element_index(gen) for gen in g.generators])
     assert ident.is_surjective()
-    assert kernel(ident).order == 1
+    assert ident.kernel_indices() == [0]
     assert [ident.apply_idx(a) for a in range(g.order)] == list(range(g.order))
 
 
 def test_quotient_by_normal_subgroup():
     s3 = symmetric_group(3)
-    a3 = s3.subgroup_from_indices(
-        [a for a in range(s3.order) if s3.element_order(a) in (1, 3)]
-    )
+    a3 = [a for a in range(s3.order) if s3.element_order(a) in (1, 3)]
     q, proj = quotient(s3, a3)
     assert q.order == 2
     assert proj.is_surjective()
-    assert sorted(proj.kernel_indices()) == sorted(a3.parent_indices())
+    assert sorted(proj.kernel_indices()) == a3
 
 
 def test_quotient_rejects_non_normal_subgroup():
     s3 = symmetric_group(3)
     flip = s3.element_index(perm_from_cycles(3, [(0, 1)]))
-    reflection = s3.subgroup_from_indices({0, flip})
+    reflection = {0, flip}
     with pytest.raises(ValueError, match="not normal"):
         quotient(s3, reflection)
 
@@ -172,15 +165,47 @@ def test_centralizer_orders_in_s3():
     g = symmetric_group(3)
     for a in range(g.order):
         cent = centralizer(g, a)
-        members = set(cent.parent_indices())
+        assert cent == sorted(cent)
+        members = set(cent)
         assert 0 in members and a in members
         for h in range(g.order):
             assert (g.conj_idx(h, a) == a) == (h in members)
-    assert centralizer(g, 0).order == 6
+    assert len(centralizer(g, 0)) == 6
     flip = g.element_index(perm_from_cycles(3, [(0, 1)]))
     cycle = g.element_index(perm_from_cycles(3, [(0, 1, 2)]))
-    assert centralizer(g, flip).order == 2
-    assert centralizer(g, cycle).order == 3
+    assert len(centralizer(g, flip)) == 2
+    assert len(centralizer(g, cycle)) == 3
+
+
+def _quaternion_group():
+    # left multiplication of Q8 on itself; points 0..7 are
+    # 1, i, j, k, -1, -i, -j, -k
+    i = perm_from_cycles(8, [(0, 1, 4, 5), (2, 7, 6, 3)])
+    j = perm_from_cycles(8, [(0, 2, 4, 6), (1, 3, 5, 7)])
+    return FiniteGroup([i, j])
+
+
+def _brute_force_normal_closure(g, seed):
+    closed = {0, seed}
+    while True:
+        grown = closed | {g.mul_idx(a, b) for a in closed for b in closed}
+        grown |= {g.conj_idx(h, a) for h in range(g.order) for a in closed}
+        if grown == closed:
+            return sorted(closed)
+        closed = grown
+
+
+@pytest.mark.parametrize(
+    "group",
+    [symmetric_group(3), symmetric_group(4), dihedral_group(4), _quaternion_group()],
+    ids=["S3", "S4", "D4", "Q8"],
+)
+def test_normal_closure_matches_brute_force(group):
+    for seed in range(group.order):
+        closure = normal_closure(group, {seed})
+        assert closure == _brute_force_normal_closure(group, seed)
+        quotient(group, closure)  # a normal subgroup by quotient's own checks
+    assert normal_closure(group, ()) == [0]
 
 
 def test_conjugating_element_finds_least_witness():
@@ -217,9 +242,10 @@ def test_cayley_table_matches_permutation_products(group):
 def test_generated_order_matches_closure():
     g = symmetric_group(4)
     for indices in ([], [0], [1], [1, 2], [3, 7, 11], list(range(g.order))):
-        gens = [g.elements[i] for i in indices]
-        expected = FiniteGroup(gens, degree=g.degree).order if gens else 1
-        assert g.generated_order(indices) == expected
+        closure = FiniteGroup([g.elements[i] for i in indices], degree=g.degree)
+        got = g.generated(indices)
+        assert got[0] == 0
+        assert sorted(got) == sorted(g.element_index(e) for e in closure.elements)
 
 
 def test_mul_idx_beyond_the_pair_bound_raises_without_building_a_table():

@@ -14,8 +14,13 @@ from prodquot.orbifold import (
     Signature,
     enumerate_generating_vectors,
 )
-from prodquot.perm import GroupHom, cyclic_group, quotient, symmetric_group
-from prodquot.presentation import abelian_invariants
+from prodquot.perm import GroupHom, cyclic_group, normal_closure, quotient, symmetric_group
+from prodquot.presentation import (
+    abelian_invariants,
+    direct_product_presentation,
+    product_offsets,
+    quotient_presentation,
+)
 from prodquot.product_quotient import (
     InvalidVector,
     build_curve_action,
@@ -28,7 +33,7 @@ from prodquot.product_quotient import (
     verify_from_pi1,
 )
 from prodquot.rewrite import evaluate_word, kernel_subgroup_words
-from prodquot.words import Word
+from prodquot.words import Word, free_reduce
 
 
 def _actions(job_name: str):
@@ -386,7 +391,7 @@ def test_kernel_tables_match_todd_coxeter_on_beauville():
     res = build_pi1(parse_job(json.dumps(BEAUVILLE_JOB)).actions)
     pres = res.presentation
     g = res.diagonal.group
-    quo, proj = quotient(g, pq._normal_closure_subgroup(g, {te.g for te in res.torsion}))
+    quo, proj = quotient(g, normal_closure(g, {te.g for te in res.torsion}))
     candidates = [(quo, tuple(proj.apply_idx(v) for v in res.psi))]
     z5 = cyclic_group(5)
     candidates += [(z5, tup) for tup in pq._surjections(pres, z5)]
@@ -395,3 +400,58 @@ def test_kernel_tables_match_todd_coxeter_on_beauville():
         table = fiber_product_table(pres, group, [values, ()], res.max_cosets)
         assert table.index == group.order
         _assert_same_table(table, pres, kernel_subgroup_words(values, group), res.max_cosets)
+
+
+# The image index [prod T_i' : im pi1] by enumeration: each factor's orbifold
+# group with the killed period powers added (T_i'), and theta, the orbifold
+# coordinates of the diagonal generators, as the subgroup words.
+
+
+def _orbifold_words(lift):
+    """Orbifold word per simplified lift generator: its second coordinate."""
+    if lift.subgroup is None:
+        return [Word(((x, 1),)) for x in range(lift.presentation.ngens)]
+    k = lift.group_gens
+    raw = lift.subgroup
+    positions = {name: i for i, name in enumerate(raw.presentation.gens)}
+    return [
+        free_reduce((gi - k, e) for gi, e in raw.expansions[positions[name]].letters if gi >= k)
+        for name in lift.presentation.gens
+    ]
+
+
+def _enumerated_image_index(res):
+    diag = res.diagonal
+    killed = []
+    for lift, kill in zip(diag.lifts, res.kills):
+        genus = lift.action.vector.genus
+        extra = [Word(((2 * genus + q, e),)) for q in sorted(kill) for e in sorted(kill[q])]
+        killed.append(quotient_presentation(lift.action.orbifold(), extra))
+    offs = product_offsets(killed)
+    components = [_orbifold_words(lift) for lift in diag.lifts]
+    theta = []
+    for w in diag.subgroup.expansions:
+        t = Word()
+        for j, lift in enumerate(diag.lifts):
+            lo, hi = diag.offsets[j], diag.offsets[j] + lift.presentation.ngens
+            part = free_reduce((gi - lo, e) for gi, e in w.letters if lo <= gi < hi)
+            tw = Word()
+            for x, e in part.letters:
+                tw = tw * (components[j][x] ** e)
+            t = t * tw.shift(offs[j])
+        theta.append(t)
+    return todd_coxeter(direct_product_presentation(killed), theta, res.max_cosets).index
+
+
+@pytest.mark.parametrize("name", [*bundled_job_names(), "beauville"])
+def test_image_index_matches_todd_coxeter(name):
+    if name == "beauville":
+        job = parse_job(json.dumps(BEAUVILLE_JOB))
+    else:
+        job = load_bundled_job(name)
+    res = build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
+    rep = structure_from_pi1(res)
+    assert rep.t_index_exact
+    assert rep.t_index_bound == _enumerated_image_index(res)
+    if name == "beauville":
+        assert rep.t_index_bound == 25

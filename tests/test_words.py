@@ -74,12 +74,6 @@ def test_power_matches_repeated_product():
     assert w**-2 == (w * w).inverse()
 
 
-def test_conjugate_by():
-    u = parse_word("a", IDS)
-    w = parse_word("b", IDS)
-    assert w.conjugate_by(u) == parse_word("a*b*a^-1", IDS)
-
-
 def test_exponent_sums_and_generators():
     w = parse_word("a*b^-1*a^2*c", IDS)
     assert w.exponent_sums(3) == [3, -1, 1]
