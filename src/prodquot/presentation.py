@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -189,6 +190,19 @@ def _substitute(letters: list[int], gen: int, image: list[int]) -> list[int]:
     return _reduce_letters(out)
 
 
+def _letters_text(letters: Sequence[int]) -> str:
+    """One character per signed letter (+g -> 2g-1, -g -> 2g), so that a
+    window of letters is a substring that ``str.find`` can locate."""
+    return "".join([chr(2 * c - 1) if c > 0 else chr(-2 * c) for c in letters])
+
+
+def _overlap_heads(rule: list[int], text: str, half: int) -> list[str]:
+    """Encoded length-``half`` heads of the rule's variants in scan order:
+    rotation 0, inverse rotation 0, rotation 1, inverse rotation 1, ..."""
+    doubles = (text * 2, _letters_text(_inv_letters(rule)) * 2)
+    return [d[s : s + half] for s in range(len(rule)) for d in doubles]
+
+
 def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
     """Simplify a presentation without ever adding generators.
 
@@ -196,6 +210,16 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
     elimination of a generator that occurs exactly once in some relator, and
     substitution of long relator overlaps.  Deterministic; the overlap phase
     is skipped for oversized presentations (fixed thresholds).
+
+    The overlap phase takes the first hit in rule -> target -> variant ->
+    position order, where a variant is a rotation of the rule or of its
+    inverse and its first ``len // 2 + 1`` letters (the head) are replaced by
+    the inverse of the rest.  Relators are encoded one character per letter,
+    so a head's first position in a target is one ``str.find``.  Each relator
+    slot carries an integer stamp, renewed whenever its letters change, and
+    each target remembers the rule stamps that gave it no hit: a pair's
+    outcome depends only on the two relators' letters, so it is searched
+    again only after one of them changed, and the hits stay in order.
     """
     work = [_cyclic_reduce(signed_letters(r)) for r in p.relators]
     work = [w for w in work if w]
@@ -218,6 +242,14 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
 
     gsets = [{abs(c) - 1 for c in w} for w in work]
     onces = [once_gen(w) for w in work]
+    # letters encoded for the overlap scan, on demand (None: not yet)
+    texts: list[Optional[str]] = [None] * len(work)
+    new_stamp = itertools.count().__next__
+    stamps = [new_stamp() for _ in work]
+    # target slot -> stamps of the rules known to give it no overlap hit
+    # (None until the first one)
+    misses: list[Optional[set[int]]] = [None] * len(work)
+    slots = (work, keys, gsets, onces, texts, stamps, misses)
 
     def dedup() -> None:
         seen: set[tuple[int, ...]] = set()
@@ -226,15 +258,53 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
             if key and key not in seen:
                 seen.add(key)
                 kept.append(i)
-        work[:] = [work[i] for i in kept]
-        keys[:] = [keys[i] for i in kept]
-        gsets[:] = [gsets[i] for i in kept]
-        onces[:] = [onces[i] for i in kept]
+        for column in slots:
+            column[:] = [column[i] for i in kept]
+
+    def drop(i: int) -> None:
+        for column in slots:
+            del column[i]
 
     def refresh(i: int) -> None:
         keys[i] = _canonical_cyclic(work[i])
         gsets[i] = {abs(c) - 1 for c in work[i]}
         onces[i] = once_gen(work[i])
+        texts[i] = None
+        stamps[i] = new_stamp()
+        misses[i] = None
+
+    def find_overlap() -> Optional[tuple[int, list[int]]]:
+        """The first overlap hit, as its target slot and rewritten letters."""
+        for j, text in enumerate(texts):
+            if text is None:
+                texts[j] = _letters_text(work[j])
+        for i, rule in enumerate(work):
+            ell = len(rule)
+            if ell < 2 or ell > _OVERLAP_RULE_MAX:
+                continue
+            half = ell // 2 + 1
+            stamp = stamps[i]
+            heads = None
+            for j, text in enumerate(texts):
+                if j == i or not half <= len(text) <= _OVERLAP_MAX_LEN:
+                    continue
+                known = misses[j]
+                if known is not None and stamp in known:
+                    continue
+                if heads is None:
+                    heads = _overlap_heads(rule, texts[i], half)
+                for v, head in enumerate(heads):
+                    s = text.find(head)
+                    if s >= 0:
+                        base = _inv_letters(rule) if v % 2 else rule
+                        tail = (base[v // 2 :] + base[: v // 2])[half:]
+                        target = work[j]
+                        newrel = target[:s] + _inv_letters(tail) + target[s + half :]
+                        return j, _cyclic_reduce(newrel)
+                if known is None:
+                    known = misses[j] = set()
+                known.add(stamp)
+        return None
 
     dedup()
     changed = True
@@ -253,7 +323,7 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
             pos = next(i for i, c in enumerate(rel) if abs(c) - 1 == gen)
             rest = rel[pos + 1 :] + rel[:pos]
             image = _inv_letters(rest) if rel[pos] > 0 else list(rest)
-            del work[ri], keys[ri], gsets[ri], onces[ri]
+            drop(ri)
             for i in range(len(work)):
                 if gen in gsets[i]:
                     work[i] = _cyclic_reduce(_substitute(work[i], gen, image))
@@ -269,47 +339,19 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
             continue
         # overlap substitution, gated by size
         if len(work) <= _OVERLAP_MAX_RELATORS:
-            hit = False
-            for i, rule in enumerate(work):
-                ell = len(rule)
-                if ell < 2 or ell > _OVERLAP_RULE_MAX:
-                    continue
-                half = ell // 2 + 1
-                variants = []
-                doubled = rule + rule
-                inv = _inv_letters(rule)
-                inv_doubled = inv + inv
-                for s in range(ell):
-                    variants.append(doubled[s : s + ell])
-                    variants.append(inv_doubled[s : s + ell])
-                for j, target_rel in enumerate(work):
-                    if j == i or len(target_rel) > _OVERLAP_MAX_LEN or len(target_rel) < half:
-                        continue
-                    for var in variants:
-                        head, tail = var[:half], var[half:]
-                        for s in range(len(target_rel) - half + 1):
-                            if target_rel[s : s + half] == head:
-                                newrel = target_rel[:s] + _inv_letters(tail) + target_rel[s + half :]
-                                newrel = _cyclic_reduce(newrel)
-                                if len(newrel) < len(target_rel):
-                                    if newrel:
-                                        work[j] = newrel
-                                        refresh(j)
-                                    else:
-                                        del work[j], keys[j], gsets[j], onces[j]
-                                    steps += 1
-                                    hit = True
-                                    break
-                        if hit:
-                            break
-                    if hit:
-                        break
-                if hit:
-                    break
-            if hit:
+            hit = find_overlap()
+            if hit is not None:
+                # The result is always shorter: a rule of length l trades
+                # l // 2 + 1 letters for l - (l // 2 + 1) and reduction only cuts.
+                j, newrel = hit
+                if newrel:
+                    work[j] = newrel
+                    refresh(j)
+                else:
+                    drop(j)
+                steps += 1
                 dedup()
                 changed = True
-                continue
 
     # compact the numbering to the surviving generators
     rank = [0] * p.ngens

@@ -1,11 +1,27 @@
 """Tests for finite presentations and Tietze simplification."""
 
+import hashlib
+import json
+import random
+import time
+from typing import Optional
+
 import pytest
 
+import prodquot.product_quotient as product_quotient
+from prodquot.cli import bundled_job_names, load_bundled_job, parse_job, render_report, run_job
 from prodquot.corpus import build_corpus
 from prodquot.coset import todd_coxeter
 from prodquot.presentation import (
     Presentation,
+    TietzeResult,
+    _OVERLAP_MAX_LEN,
+    _OVERLAP_MAX_RELATORS,
+    _OVERLAP_RULE_MAX,
+    _canonical_cyclic,
+    _cyclic_reduce,
+    _inv_letters,
+    _substitute,
     abelian_invariants,
     direct_product_presentation,
     presentation,
@@ -14,7 +30,7 @@ from prodquot.presentation import (
     transport_word,
 )
 from prodquot.rewrite import evaluate_word
-from prodquot.words import Word
+from prodquot.words import Word, signed_letters, word_from_letters
 
 
 def test_presentation_validation():
@@ -166,3 +182,267 @@ def test_transport_word():
     identity_map = (target.word("x"), target.word("y"))
     untouched = Word(((0, 2), (1, -1)))
     assert transport_word(untouched, identity_map) == untouched
+
+
+# ---------------------------------------------------------------------------
+# The overlap phase against its rescanning form.  The reference below is
+# tietze_simplify as it was before the miss memo and the str.find scan: after
+# every hit it scans all (rule, target, variant, position) quadruples again
+# from the start, comparing slices letter by letter.
+
+
+def _reference_tietze(p: Presentation, budget: int = 10000) -> TietzeResult:
+    work = [_cyclic_reduce(signed_letters(r)) for r in p.relators]
+    work = [w for w in work if w]
+    names = list(p.gens)
+    old_to_new = [[g + 1] for g in range(p.ngens)]
+    steps = 0
+    alive = [True] * p.ngens
+    keys = [_canonical_cyclic(w) for w in work]
+
+    def once_gen(letters: list[int]) -> Optional[int]:
+        counts: dict[int, int] = {}
+        for c in letters:
+            a = abs(c) - 1
+            counts[a] = counts.get(a, 0) + 1
+        return min((g for g, k in counts.items() if k == 1), default=None)
+
+    gsets = [{abs(c) - 1 for c in w} for w in work]
+    onces = [once_gen(w) for w in work]
+
+    def dedup() -> None:
+        seen: set[tuple[int, ...]] = set()
+        kept = []
+        for i, key in enumerate(keys):
+            if key and key not in seen:
+                seen.add(key)
+                kept.append(i)
+        work[:] = [work[i] for i in kept]
+        keys[:] = [keys[i] for i in kept]
+        gsets[:] = [gsets[i] for i in kept]
+        onces[:] = [onces[i] for i in kept]
+
+    def refresh(i: int) -> None:
+        keys[i] = _canonical_cyclic(work[i])
+        gsets[i] = {abs(c) - 1 for c in work[i]}
+        onces[i] = once_gen(work[i])
+
+    dedup()
+    changed = True
+    while changed and steps < budget:
+        changed = False
+        best = None
+        for ri, g in enumerate(onces):
+            if g is not None:
+                rank = (len(work[ri]), ri, g)
+                if best is None or rank < best:
+                    best = rank
+        if best is not None:
+            _, ri, gen = best
+            rel = work[ri]
+            pos = next(i for i, c in enumerate(rel) if abs(c) - 1 == gen)
+            rest = rel[pos + 1 :] + rel[:pos]
+            image = _inv_letters(rest) if rel[pos] > 0 else list(rest)
+            del work[ri], keys[ri], gsets[ri], onces[ri]
+            for i in range(len(work)):
+                if gen in gsets[i]:
+                    work[i] = _cyclic_reduce(_substitute(work[i], gen, image))
+                    refresh(i)
+            target = gen + 1
+            for i, w in enumerate(old_to_new):
+                if any(c == target or c == -target for c in w):
+                    old_to_new[i] = _substitute(w, gen, image)
+            alive[gen] = False
+            steps += 1
+            changed = True
+            dedup()
+            continue
+        if len(work) <= _OVERLAP_MAX_RELATORS:
+            hit = False
+            for i, rule in enumerate(work):
+                ell = len(rule)
+                if ell < 2 or ell > _OVERLAP_RULE_MAX:
+                    continue
+                half = ell // 2 + 1
+                variants = []
+                doubled = rule + rule
+                inv = _inv_letters(rule)
+                inv_doubled = inv + inv
+                for s in range(ell):
+                    variants.append(doubled[s : s + ell])
+                    variants.append(inv_doubled[s : s + ell])
+                for j, target_rel in enumerate(work):
+                    if j == i or len(target_rel) > _OVERLAP_MAX_LEN or len(target_rel) < half:
+                        continue
+                    for var in variants:
+                        head, tail = var[:half], var[half:]
+                        for s in range(len(target_rel) - half + 1):
+                            if target_rel[s : s + half] == head:
+                                newrel = target_rel[:s] + _inv_letters(tail) + target_rel[s + half :]
+                                newrel = _cyclic_reduce(newrel)
+                                if len(newrel) < len(target_rel):
+                                    if newrel:
+                                        work[j] = newrel
+                                        refresh(j)
+                                    else:
+                                        del work[j], keys[j], gsets[j], onces[j]
+                                    steps += 1
+                                    hit = True
+                                    break
+                        if hit:
+                            break
+                    if hit:
+                        break
+                if hit:
+                    break
+            if hit:
+                dedup()
+                changed = True
+                continue
+
+    rank = [0] * p.ngens
+    kept_names = []
+    for g, keep in enumerate(alive):
+        rank[g] = len(kept_names)
+        if keep:
+            kept_names.append(names[g])
+
+    def compact(letters: list[int]) -> list[int]:
+        return [(rank[abs(c) - 1] + 1) * (1 if c > 0 else -1) for c in letters]
+
+    work = [compact(w) for w in work]
+    old_to_new = [compact(w) for w in old_to_new]
+    work.sort(key=lambda w: (len(w), w))
+    out = Presentation(tuple(kept_names), tuple(word_from_letters(w) for w in work))
+    mapping = tuple(word_from_letters(w) for w in old_to_new)
+    return TietzeResult(out, mapping, steps)
+
+
+def _overlap_hits(p: Presentation, res: TietzeResult) -> int:
+    """Steps that were overlap substitutions: each elimination drops a generator."""
+    return res.steps_used - (p.ngens - res.presentation.ngens)
+
+
+def _tietze_inputs(job) -> list[tuple[Presentation, int]]:
+    """Every (presentation, budget) that build_pi1 simplifies for one job,
+    the raw pi1 presentation last."""
+    calls = []
+
+    def record(p, budget=10000):
+        calls.append((p, budget))
+        return tietze_simplify(p, budget)
+
+    original = product_quotient.tietze_simplify
+    product_quotient.tietze_simplify = record
+    try:
+        res = product_quotient.build_pi1(
+            job.actions, job.budgets.max_cosets, job.budgets.tietze_steps
+        )
+    finally:
+        product_quotient.tietze_simplify = original
+    assert calls[-1][0] == res.raw_presentation
+    return calls
+
+
+@pytest.mark.parametrize("name", bundled_job_names())
+def test_overlap_phase_matches_rescanning_reference_on_bundled_jobs(name):
+    for p, budget in _tietze_inputs(load_bundled_job(name)):
+        assert tietze_simplify(p, budget) == _reference_tietze(p, budget)
+
+
+def _random_presentation(rng: random.Random) -> Presentation:
+    """Relators that are products of a few shared pieces, so that halves of
+    short relators recur inside longer ones and the overlap phase hits."""
+    ngens = rng.randint(2, 4)
+    pieces = [
+        [rng.choice((1, -1)) * rng.randint(1, ngens) for _ in range(rng.randint(2, 5))]
+        for _ in range(rng.randint(2, 4))
+    ]
+    relators = []
+    for _ in range(rng.randint(3, 8)):
+        letters = []
+        for _ in range(rng.randint(1, 4)):
+            piece = rng.choice(pieces)
+            letters += piece if rng.random() < 0.5 else _inv_letters(piece)
+        relators.append(word_from_letters(letters))
+    return Presentation(tuple(f"x{i}" for i in range(ngens)), tuple(relators))
+
+
+def test_overlap_phase_matches_rescanning_reference_on_random_presentations():
+    hit_cases = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        p = _random_presentation(rng)
+        budget = rng.choice((10000, rng.randint(1, 6)))
+        res = tietze_simplify(p, budget)
+        assert res == _reference_tietze(p, budget), seed
+        hit_cases += _overlap_hits(p, res) > 0
+    assert hit_cases >= 30
+
+
+def _classify_job(name, group, vectors):
+    """A classify-pool document: two (1; 2,2) actions of the same group."""
+    return {
+        "schema": "prodquot-job/1",
+        "name": name,
+        "group": {"degree": len(group[0]), "generators": group},
+        "actions": [
+            {
+                "projection": "identity",
+                "signature": {"genus": 1, "periods": [2, 2]},
+                "vector": {"a": [a], "b": [b], "c": list(c)},
+            }
+            for a, b, c in vectors
+        ],
+        "outputs": ["enumerate", "freeness", "pi1", "abelianization"],
+    }
+
+
+D4 = [[1, 2, 3, 0], [0, 3, 2, 1]]
+Z2XZ4 = [[1, 0, 2, 3, 4, 5], [0, 1, 3, 4, 5, 2]]
+
+# Free (1; 2,2)^2 pairs from the classify pool (pipebench/frozen/classify_pool.json).
+D4_FREE_4 = _classify_job(
+    "classify-D4-(1;2,2)x(1;2,2)-free-4",
+    D4,
+    [("g0*g1", "g1", ("g0^2*g1", "g1")), ("g0^2*g1", "g0^2", ("g1*g0", "g1*g0"))],
+)
+Z2XZ4_FREE_4 = _classify_job(
+    "classify-Z2xZ4-(1;2,2)x(1;2,2)-free-4",
+    Z2XZ4,
+    [("g0*g1^2", "g1^3", ("g0*g1^2", "g0*g1^2")), ("g1^3", "g1^3", ("g0", "g0"))],
+)
+# pi1 presentation: 57 generators and 176 relators, simplified in 327 steps;
+# the rescanning overlap phase took about 25 s on it.
+D4_FREE_1 = _classify_job(
+    "classify-D4-(1;2,2)x(1;2,2)-free-1",
+    D4,
+    [("1", "g0*g1", ("g1", "g1")), ("g0^3", "g1*g0", ("g1*g0", "g0*g1"))],
+)
+# sha256 of its run report, computed with the rescanning overlap phase
+D4_FREE_1_DIGEST = "3a02c6fde834d237f5e0d195c400eba36e239d4930c55a7157194163b3dbaabd"
+
+
+@pytest.mark.parametrize("doc", [D4_FREE_4, Z2XZ4_FREE_4], ids=lambda d: d["name"])
+def test_overlap_phase_matches_rescanning_reference_on_classify_candidates(doc):
+    for p, budget in _tietze_inputs(parse_job(json.dumps(doc))):
+        res = tietze_simplify(p, budget)
+        assert res == _reference_tietze(p, budget)
+        # these two stop at the size gate, never reaching an overlap hit
+        assert len(res.presentation.relators) > _OVERLAP_MAX_RELATORS
+
+
+def test_overlap_phase_matches_rescanning_reference_on_a_cut_runaway():
+    # D4 #1's pi1 presentation cut at 60 steps: 52 eliminations, 8 overlap hits
+    (p, _), = _tietze_inputs(parse_job(json.dumps(D4_FREE_1)))
+    res = tietze_simplify(p, 60)
+    assert res == _reference_tietze(p, 60)
+    assert _overlap_hits(p, res) == 8
+
+
+def test_runaway_classify_candidate_report_is_unchanged_and_fast():
+    start = time.perf_counter()
+    text = render_report(run_job(parse_job(json.dumps(D4_FREE_1))))
+    elapsed = time.perf_counter() - start
+    assert hashlib.sha256(text.encode()).hexdigest() == D4_FREE_1_DIGEST
+    assert elapsed < 10.0
