@@ -4,13 +4,18 @@
 The job is the p_g = q = 0 reference pair: G = two commuting 5-cycles on 10
 points acting on two genus-6 curves with signature (0; 5,5,5), vectors
 (g0, g1, g0^-1*g1^-1) and (g0*g1^2, g0^3*g1^4, g0*g1^4).  pi1 is built once,
-untimed; each run times ``verify_from_pi1`` at the default index bound and
-splits its time over four layers (evaluate_word, Reidemeister-Schreier, SNF,
-and the kernel coset tables: fiber_product_table, plus todd_coxeter for a
-package that still enumerates them) by rebinding those names in every
-loaded prodquot module; a name the package lacks adds nothing.  A
-run exits 1 when the sha256 of the verification report differs from the
-frozen digest, so a speed change cannot change the answer.
+untimed; each run times ``verify_from_pi1`` at --index-bound (default 8, the
+program's default; at 25 the canonical candidate of index 25 is tried) and
+splits its time over five layers (evaluate_word, Reidemeister-Schreier
+presentations, the abelianized Reidemeister-Schreier rows of
+subgroup_abelian_invariants, SNF, and the kernel coset tables:
+fiber_product_table, plus todd_coxeter for a package that still enumerates
+them) by rebinding those names in every loaded prodquot module; a name the
+package lacks adds nothing.  Each layer counts its own time only, less the
+time of the layers it calls (subgroup_abelian_invariants calls SNF), so the
+layers add up to at most verify_s.  A run exits 1 when the sha256 of the
+verification report differs from the frozen digest for its bound, so a speed
+change cannot change the answer.
 
 With --base SRC the script runs pairs: the checkout it lives in and the
 package under SRC (say, the src/ of a clone of the parent commit), each run
@@ -18,7 +23,7 @@ in a fresh interpreter, the base first in even pairs and second in odd ones,
 and reports the medians.
 
 Usage:
-  python3 benchmarks/bench_verify.py [--runs N] [--base SRC] [--json]
+  python3 benchmarks/bench_verify.py [--runs N] [--base SRC] [--index-bound B] [--json]
 """
 
 from __future__ import annotations
@@ -60,11 +65,17 @@ JOB = {
 
 # sha256 of the verification report as sorted compact JSON (see report_digest)
 REPORT_DIGEST = "b5c0b61ac7d2a25a7766209216904be4fdc38f50b3c950b7f7b96711233074c4"
+# index bound -> frozen digest; at 25 the report is FOUND at index 25, rank 24
+REPORT_DIGESTS = {
+    8: REPORT_DIGEST,
+    25: "47c1123e9e21a58202a637d2c4089570e6d8317b7d1285f85fb188c95708fc1c",
+}
 
 # layer -> (module, function names)
 LAYERS = {
     "evaluate_s": ("prodquot.rewrite", ("evaluate_word",)),
     "rs_s": ("prodquot.rewrite", ("reidemeister_schreier",)),
+    "abel_rs_s": ("prodquot.rewrite", ("subgroup_abelian_invariants",)),
     "snf_s": ("prodquot.abelian", ("smith_diagonal",)),
     "coset_s": ("prodquot.coset", ("fiber_product_table", "todd_coxeter")),
 }
@@ -77,24 +88,31 @@ def report_digest(report) -> str:
 
 def install_timers(seconds: dict[str, float]) -> None:
     """Rebind each layer's functions, wherever a prodquot module names them,
-    to wrappers adding their wall time to seconds[layer]."""
+    to wrappers adding their own wall time to seconds[layer]."""
     import importlib
 
+    # per active timed call, the seconds spent in timed calls it made
+    stack: list[float] = []
     for layer, (module, names) in LAYERS.items():
         for name in names:
-            _rebind(getattr(importlib.import_module(module), name, None), layer, seconds)
+            original = getattr(importlib.import_module(module), name, None)
+            _rebind(original, layer, seconds, stack)
 
 
-def _rebind(original, layer: str, seconds: dict[str, float]) -> None:
+def _rebind(original, layer: str, seconds: dict[str, float], stack: list[float]) -> None:
     if original is None:
         return
 
     def timed(*args, **kwargs):
+        stack.append(0.0)
         start = time.perf_counter()
         try:
             return original(*args, **kwargs)
         finally:
-            seconds[layer] += time.perf_counter() - start
+            elapsed = time.perf_counter() - start
+            seconds[layer] += elapsed - stack.pop()
+            if stack:
+                stack[-1] += elapsed
 
     for mod_name, mod in list(sys.modules.items()):
         if mod is not None and mod_name.split(".")[0] == "prodquot":
@@ -103,7 +121,7 @@ def _rebind(original, layer: str, seconds: dict[str, float]) -> None:
                     setattr(mod, attr, timed)
 
 
-def run_once() -> dict:
+def run_once(index_bound: int) -> dict:
     """One timed verify_from_pi1 in this interpreter."""
     from prodquot.cli import parse_job
     from prodquot.product_quotient import build_pi1, verify_from_pi1
@@ -113,7 +131,7 @@ def run_once() -> dict:
     seconds = dict.fromkeys(LAYERS, 0.0)
     install_timers(seconds)
     start = time.perf_counter()
-    report = verify_from_pi1(res, job.budgets.verify_index_bound)
+    report = verify_from_pi1(res, index_bound)
     total = time.perf_counter() - start
     digest = report_digest(report)
     return {
@@ -121,14 +139,20 @@ def run_once() -> dict:
         **{k: round(v, 4) for k, v in seconds.items()},
         "status": report.status,
         "digest": digest,
-        "digest_ok": digest == REPORT_DIGEST,
+        "digest_ok": digest == REPORT_DIGESTS[index_bound],
     }
 
 
-def run_child(src: str) -> dict:
+def run_child(src: str, index_bound: int) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child"],
+        [
+            sys.executable,
+            os.path.abspath(__file__),
+            "--child",
+            "--index-bound",
+            str(index_bound),
+        ],
         env=env,
         capture_output=True,
         text=True,
@@ -158,6 +182,11 @@ def summarize(runs: list[dict]) -> dict:
     return {
         **{k: round(statistics.median(r[k] for r in runs), 4) for k in keys},
         "verify_runs_s": [r["verify_s"] for r in runs],
+        "verify_quartiles_s": [
+            round(q, 4) for q in statistics.quantiles((r["verify_s"] for r in runs), n=4)
+        ]
+        if len(runs) > 1
+        else None,
         "digest_ok": all(r["digest_ok"] for r in runs),
     }
 
@@ -166,12 +195,19 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=3, help="runs (pairs with --base)")
     parser.add_argument("--base", help="src directory of the package to compare against")
+    parser.add_argument(
+        "--index-bound",
+        type=int,
+        default=8,
+        choices=sorted(REPORT_DIGESTS),
+        help="verify_from_pi1's index bound (a bound with a frozen report digest)",
+    )
     parser.add_argument("--json", action="store_true", help="emit the results as JSON")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.child:
-        print(json.dumps(run_once()))
+        print(json.dumps(run_once(args.index_bound)))
         return 0
 
     here_src = os.path.join(ROOT, "src")
@@ -179,14 +215,15 @@ def main() -> int:
     before: list[dict] = []
     for k in range(args.runs):
         if args.base and k % 2 == 0:
-            before.append(run_child(args.base))
-        after.append(run_child(here_src))
+            before.append(run_child(args.base, args.index_bound))
+        after.append(run_child(here_src, args.index_bound))
         if args.base and k % 2 == 1:
-            before.append(run_child(args.base))
+            before.append(run_child(args.base, args.index_bound))
     doc = {
         "python": platform.python_version(),
         "git_sha": git_sha(),
         "runs": args.runs,
+        "index_bound": args.index_bound,
         "after": summarize(after),
     }
     if before:

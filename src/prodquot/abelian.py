@@ -8,6 +8,7 @@ can still overflow fixed-width types, and exactness matters more than speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,9 @@ class AbelianInvariants:
         return not self.torsion
 
 
-def smith_diagonal(matrix: list[list[int]]) -> list[int]:
+def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
     """Nonzero diagonal d1 | d2 | ... of the Smith normal form of matrix."""
-    a = [row[:] for row in matrix]
+    a = [list(row) for row in matrix]
     m = len(a)
     n = len(a[0]) if m else 0
     diag: list[int] = []
@@ -114,7 +115,11 @@ def smith_diagonal(matrix: list[list[int]]) -> list[int]:
     return diag
 
 
-def invariants_from_matrix(matrix: list[list[int]], ngens: int) -> AbelianInvariants:
-    diag = smith_diagonal(matrix) if matrix else []
+def invariants_from_matrix(matrix: Sequence[Sequence[int]], ngens: int) -> AbelianInvariants:
+    """Invariants of Z^ngens modulo the rows.  Zero and repeated rows are
+    dropped first, keeping first occurrences in order: smith_diagonal's pivot
+    path, and so its cost, depends on the row order."""
+    rows = [r for r in dict.fromkeys(map(tuple, matrix)) if any(r)]
+    diag = smith_diagonal(rows) if rows else []
     torsion = tuple(d for d in diag if d > 1)
     return AbelianInvariants(free_rank=ngens - len(diag), torsion=torsion)

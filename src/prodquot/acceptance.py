@@ -33,7 +33,7 @@ from .product_quotient import (
     structure_from_pi1,
     torsion_generators,
 )
-from .rewrite import kernel_subgroup_words, reidemeister_schreier
+from .rewrite import kernel_subgroup_words, subgroup_abelian_invariants
 from .words import Word
 
 
@@ -126,8 +126,7 @@ def criterion_3() -> CriterionResult:
     res = build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
     words = kernel_subgroup_words(res.psi, job.group)
     table = todd_coxeter(res.presentation, words, max_cosets=job.budgets.max_cosets)
-    sub = reidemeister_schreier(res.presentation, table)
-    inv = abelian_invariants(sub.presentation)
+    inv = subgroup_abelian_invariants(res.presentation, table)
     ok = (
         free.is_free
         and not res.torsion

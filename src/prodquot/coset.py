@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .presentation import Presentation
-from .words import Word
+from .words import Word, word_to_cols
 
 
 class CosetOverflow(RuntimeError):
@@ -28,13 +28,6 @@ class CosetOverflow(RuntimeError):
         super().__init__(f"coset enumeration exceeded {max_cosets} cosets")
         self.defined = defined
         self.max_cosets = max_cosets
-
-
-def word_to_cols(word: Word) -> list[int]:
-    cols: list[int] = []
-    for g, e in word.letters:
-        cols += [2 * g] * e if e > 0 else [2 * g + 1] * -e
-    return cols
 
 
 @dataclass

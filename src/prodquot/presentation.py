@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .abelian import AbelianInvariants, invariants_from_matrix
@@ -14,6 +15,7 @@ from .words import (
     parse_word,
     signed_letters,
     word_from_letters,
+    word_to_cols,
 )
 
 
@@ -40,6 +42,11 @@ class Presentation:
     def ngens(self) -> int:
         return len(self.gens)
 
+    @cached_property
+    def relator_cols(self) -> tuple[list[int], ...]:
+        """Column code of each relator (``word_to_cols``), computed once."""
+        return tuple(word_to_cols(r) for r in self.relators)
+
     def name_to_id(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.gens)}
 
@@ -60,9 +67,7 @@ def presentation(gen_names: Sequence[str], relator_texts: Iterable[str] = ()) ->
 
 
 def abelian_invariants(p: Presentation) -> AbelianInvariants:
-    matrix = [r.exponent_sums(p.ngens) for r in p.relators]
-    matrix = [row for row in matrix if any(row)]
-    return invariants_from_matrix(matrix, p.ngens)
+    return invariants_from_matrix([r.exponent_sums(p.ngens) for r in p.relators], p.ngens)
 
 
 def direct_product_presentation(factors: Sequence[Presentation]) -> Presentation:

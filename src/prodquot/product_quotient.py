@@ -63,6 +63,7 @@ from .rewrite import (
     finite_group_presentation,
     kernel_subgroup_words,
     reidemeister_schreier,
+    subgroup_abelian_invariants,
 )
 from .words import Word, free_reduce
 
@@ -735,11 +736,41 @@ def _quotient_catalogue(index_bound: int) -> list[tuple[str, FiniteGroup]]:
 
 
 def _surjections(p: Presentation, quo: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """Generator tuples of the surjections p -> quo, in product order.  On an
+    abelian quo a relator's value depends only on its exponent sums, taken
+    modulo |quo|, so it is tested through those: O(ngens), not O(length)."""
     k = p.ngens
-    if k == 0 or quo.order**k > _HOM_TUPLE_BOUND:
+    n = quo.order
+    if k == 0 or n**k > _HOM_TUPLE_BOUND:
         return
-    for tup in itertools.product(range(quo.order), repeat=k):
-        if any(evaluate_word(r, tup, quo) != 0 for r in p.relators):
+    mul = quo.cayley_table()
+    if all(mul[a][b] == mul[b][a] for a in range(n) for b in range(a)):
+        powers = [[0] * n for _ in range(n)]  # powers[v][e] = v^e
+        for v in range(n):
+            for e in range(1, n):
+                powers[v][e] = mul[powers[v][e - 1]][v]
+        sums = dict.fromkeys(
+            tuple((g, e % n) for g, e in enumerate(r.exponent_sums(k)) if e % n)
+            for r in p.relators
+        )
+        rows = [row for row in sums if row]
+
+        def is_hom(tup: tuple[int, ...]) -> bool:
+            for row in rows:
+                acc = 0
+                for g, e in row:
+                    acc = mul[acc][powers[tup[g]][e]]
+                if acc:
+                    return False
+            return True
+
+    else:
+
+        def is_hom(tup: tuple[int, ...]) -> bool:
+            return all(evaluate_word(r, tup, quo) == 0 for r in p.relators)
+
+    for tup in itertools.product(range(n), repeat=k):
+        if not is_hom(tup):
             continue
         if len(quo.generated(tup)) != quo.order:
             continue
@@ -766,8 +797,7 @@ def _try_subgroup(
     if key in tried:
         return None
     tried.add(key)
-    sub = reidemeister_schreier(pres, table, prefix="v")
-    inv = abelian_invariants(sub.presentation)
+    inv = subgroup_abelian_invariants(pres, table)
     if not inv.torsion and inv.free_rank % 2 == 0:
         return VerificationReport(
             "FOUND",

@@ -7,17 +7,25 @@ is labelled with its generator, so rewriting a word is one walk through the
 table collecting labels.  Relators come from walking every ambient relator
 from every coset (each walk must close, else the table is no coset action),
 and arbitrary subgroup elements rewrite the same way.
+
+When only the subgroup's abelianization is wanted (the verify search's
+kernels), ``subgroup_abelian_invariants`` runs the same labelling and walks
+but keeps each walk as an integer row of label counts, the abelianized
+Reidemeister-Schreier method (Holt-Eick-O'Brien, Handbook of Computational
+Group Theory, 2005): no words, no free reduction, no presentation.
 Finite groups are evaluated through their Cayley tables.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .coset import CosetTable, word_to_cols
+from .abelian import AbelianInvariants, invariants_from_matrix
+from .coset import CosetTable
 from .presentation import Presentation
-from .words import Word, word_from_letters
+from .words import Word, word_from_letters, word_to_cols
 
 
 class WordNotInSubgroup(ValueError):
@@ -66,40 +74,83 @@ class SubgroupPresentation:
         return out
 
 
+def _schreier_labels(table: CosetTable) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """Label table (as ``SubgroupPresentation.labels``) and the edge (c, g)
+    carrying each Schreier generator, in label order.  The transversal is a
+    Schreier transversal, so an edge's generator rep(c) * g * rep(c.g)^-1
+    freely reduces to 1 exactly when the edge is in the spanning tree."""
+    rows = table.table
+    ngens = len(rows[0]) // 2
+    tree = {
+        (parent, col // 2) if col % 2 == 0 else (c, col // 2)
+        for c, (parent, col) in enumerate(table.tree, 1)
+    }
+    labels = [[0] * (2 * ngens) for _ in range(table.index)]
+    edges: list[tuple[int, int]] = []
+    for c in range(table.index):
+        for g in range(ngens):
+            if (c, g) in tree:
+                continue
+            edges.append((c, g))
+            labels[c][2 * g] = len(edges)
+            labels[rows[c][2 * g]][2 * g + 1] = -len(edges)
+    return labels, edges
+
+
+def _relator_walks(
+    ambient: Presentation, table: CosetTable, labels: list[list[int]]
+) -> Iterator[list[int]]:
+    """The labels met walking each relator from each coset (coset-major); the
+    walk from c rewrites rep(c) * relator * rep(c)^-1 up to free reduction.
+    A walk not ending at c raises ValueError: the table is no coset action."""
+    rows = table.table
+    for c in range(table.index):
+        for i, cols in enumerate(ambient.relator_cols):
+            letters, end = _walk(rows, labels, c, cols)
+            if end != c:
+                raise ValueError(f"relator {i} walks from coset {c} to {end}")
+            yield letters
+
+
 def reidemeister_schreier(
     ambient: Presentation, table: CosetTable, prefix: str = "x"
 ) -> SubgroupPresentation:
     """Schreier generators label the non-transversal edges; each relator at
-    coset c rewrites, up to free reduction, to the labels its walk from c
-    meets, which is the rewrite of rep(c) * relator * rep(c)^-1; a walk not
-    ending at c raises ValueError, as the table is then no coset action."""
+    coset c rewrites to the labels its walk from c meets (``_relator_walks``)."""
     reps = table.transversal()
-    rows = table.table
-    labels = [[0] * (2 * ambient.ngens) for _ in range(table.index)]
-    expansions: list[Word] = []
-    for c in range(table.index):
-        for g in range(ambient.ngens):
-            target = rows[c][2 * g]
-            word = reps[c] * Word(((g, 1),)) * reps[target].inverse()
-            if word.is_identity():
-                continue
-            expansions.append(word)
-            labels[c][2 * g] = len(expansions)
-            labels[target][2 * g + 1] = -len(expansions)
+    labels, edges = _schreier_labels(table)
+    expansions = tuple(
+        reps[c] * Word(((g, 1),)) * reps[table.table[c][2 * g]].inverse()
+        for c, g in edges
+    )
     relators: list[Word] = []
-    rel_cols = [word_to_cols(rel) for rel in ambient.relators]
-    for c in range(table.index):
-        for i, cols in enumerate(rel_cols):
-            letters, end = _walk(rows, labels, c, cols)
-            if end != c:
-                raise ValueError(f"relator {i} walks from coset {c} to {end}")
-            rewritten = word_from_letters(letters)
-            if not rewritten.is_identity():
-                relators.append(rewritten)
+    for letters in _relator_walks(ambient, table, labels):
+        rewritten = word_from_letters(letters)
+        if not rewritten.is_identity():
+            relators.append(rewritten)
     names = tuple(f"{prefix}{i}" for i in range(len(expansions)))
     return SubgroupPresentation(
-        Presentation(names, tuple(relators)), ambient, table, labels, tuple(expansions)
+        Presentation(names, tuple(relators)), ambient, table, labels, expansions
     )
+
+
+def subgroup_abelian_invariants(ambient: Presentation, table: CosetTable) -> AbelianInvariants:
+    """Abelianization of the subgroup with the given coset table: the
+    invariants of ``reidemeister_schreier(ambient, table).presentation``
+    without building it.  Exponent sums survive free reduction, so each
+    relator walk is one integer row, +-1 per edge label met."""
+    labels, edges = _schreier_labels(table)
+    ngens = len(edges)
+    matrix: list[list[int]] = []
+    for letters in _relator_walks(ambient, table, labels):
+        row = [0] * ngens
+        for label, count in Counter(letters).items():
+            if label > 0:
+                row[label - 1] += count
+            else:
+                row[-label - 1] -= count
+        matrix.append(row)
+    return invariants_from_matrix(matrix, ngens)
 
 
 def evaluate_word(word: Word, gen_values: Sequence[int], group) -> int:

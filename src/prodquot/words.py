@@ -93,6 +93,14 @@ def free_reduce(pairs: Iterable[tuple[int, int]]) -> Word:
     return Word(_reduce(pairs))
 
 
+def word_to_cols(word: Word) -> list[int]:
+    """Column code, one entry per single letter: 2g for g, 2g + 1 for g^-1."""
+    cols: list[int] = []
+    for g, e in word.letters:
+        cols += [2 * g] * e if e > 0 else [2 * g + 1] * -e
+    return cols
+
+
 def word_from_letters(letters: Sequence[int]) -> Word:
     """Build a word from signed single letters: +-(gen+1)."""
     return free_reduce(((abs(c) - 1, 1 if c > 0 else -1) for c in letters))

@@ -111,3 +111,35 @@ def test_smith_diagonal_is_a_divisibility_chain():
                 seen_zero = True
             else:
                 assert not seen_zero, (m, diag)
+
+
+def test_zero_and_duplicate_rows_change_nothing():
+    rng = random.Random(17)
+    cases = [(case["matrix"], case["ngens"]) for case in frozen_cases()]
+    for _ in range(40):
+        cols = rng.randint(1, 5)
+        rows = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rng.randint(1, 5))]
+        cases.append((rows, cols))
+    for rows, cols in cases:
+        base = invariants_from_matrix(rows, cols)
+        padded = [list(r) for r in rows]
+        for _ in range(rng.randint(1, 4)):
+            extra = list(rng.choice(rows)) if rows and rng.random() < 0.7 else [0] * cols
+            padded.insert(rng.randint(0, len(padded)), extra)
+        assert invariants_from_matrix(padded, cols) == base, (rows, padded)
+
+
+def test_smith_diagonal_sees_first_occurrences_in_order(monkeypatch):
+    # the pivot path depends on the row order, so deduplication must keep it
+    import prodquot.abelian as abelian
+
+    seen = []
+
+    def recording(matrix):
+        seen.append([list(r) for r in matrix])
+        return smith_diagonal(matrix)
+
+    monkeypatch.setattr(abelian, "smith_diagonal", recording)
+    m = [[0, 3, 1], [2, 0, 0], [0, 0, 0], [0, 3, 1], [1, 1, 1], [2, 0, 0]]
+    assert invariants_from_matrix(m, 3) == AbelianInvariants(0, (4,))
+    assert seen == [[[0, 3, 1], [2, 0, 0], [1, 1, 1]]]

@@ -1,5 +1,6 @@
 """End-to-end tests for fundamental groups of diagonal curve-product quotients."""
 
+import itertools
 import json
 
 import pytest
@@ -18,6 +19,7 @@ from prodquot.perm import GroupHom, cyclic_group, normal_closure, quotient, symm
 from prodquot.presentation import (
     abelian_invariants,
     direct_product_presentation,
+    presentation,
     product_offsets,
     quotient_presentation,
 )
@@ -32,7 +34,7 @@ from prodquot.product_quotient import (
     torsion_generators,
     verify_from_pi1,
 )
-from prodquot.rewrite import evaluate_word, kernel_subgroup_words
+from prodquot.rewrite import evaluate_word, kernel_subgroup_words, reidemeister_schreier
 from prodquot.words import Word, free_reduce
 
 
@@ -329,16 +331,103 @@ def test_verify_rewrites_each_kernel_once(monkeypatch):
     # is a quotient: 124 surjections, one kernel per 4 of them (Aut(Z/5)).
     res = build_pi1(parse_job(json.dumps(BEAUVILLE_JOB)).actions)
     calls = []
-    original = pq.reidemeister_schreier
+    original = pq.subgroup_abelian_invariants
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(pq, "reidemeister_schreier", counting)
+    monkeypatch.setattr(pq, "subgroup_abelian_invariants", counting)
     ver = verify_from_pi1(res, index_bound=5)
     assert ver.status == "INCONCLUSIVE"
     assert len(calls) == 31
+
+
+@pytest.mark.parametrize("bound", [8, 25])
+def test_kernel_invariants_match_rs_on_every_beauville_verify_kernel(monkeypatch, bound):
+    # bound 8: the 31 distinct kernels onto cyclic(5); bound 25: the canonical
+    # candidate of index 25, which is FOUND
+    res = build_pi1(parse_job(json.dumps(BEAUVILLE_JOB)).actions)
+    met = []
+    original = pq.subgroup_abelian_invariants
+
+    def recording(ambient, table):
+        inv = original(ambient, table)
+        met.append((ambient, table, inv))
+        return inv
+
+    monkeypatch.setattr(pq, "subgroup_abelian_invariants", recording)
+    ver = verify_from_pi1(res, bound)
+    assert ver.status == ("INCONCLUSIVE" if bound == 8 else "FOUND")
+    assert [table.index for _, table, _ in met] == ([5] * 31 if bound == 8 else [25])
+    for ambient, table, inv in met:
+        assert inv == abelian_invariants(reidemeister_schreier(ambient, table).presentation)
+
+
+def _reference_surjections(p, quo):
+    """The surjection search before abelian targets were tested through
+    exponent sums: every relator evaluated letter by letter."""
+    k = p.ngens
+    if k == 0 or quo.order**k > pq._HOM_TUPLE_BOUND:
+        return
+    for tup in itertools.product(range(quo.order), repeat=k):
+        if any(evaluate_word(r, tup, quo) != 0 for r in p.relators):
+            continue
+        if len(quo.generated(tup)) != quo.order:
+            continue
+        yield tup
+
+
+def _beauville_job(name, vectors):
+    return {
+        **BEAUVILLE_JOB,
+        "name": name,
+        "actions": [
+            {**action, "vector": {"a": [], "b": [], "c": vector}}
+            for action, vector in zip(BEAUVILLE_JOB["actions"], vectors)
+        ],
+    }
+
+
+# Two documents of the beauville pool (pipebench/frozen/beauville_pool.json).
+BEAUVILLE_POOL_DOCS = [
+    _beauville_job(
+        "beauville-drawn-0",
+        [["g0^2*g1^3", "g0^4", "g0^4*g1^2"], ["g0^4*g1^3", "g0*g1", "g1"]],
+    ),
+    _beauville_job(
+        "beauville-drawn-1",
+        [["g0^2*g1", "g0^2", "g0*g1^4"], ["g0*g1^2", "g1^4", "g0^4*g1^4"]],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc", [BEAUVILLE_JOB, *BEAUVILLE_POOL_DOCS], ids=lambda d: d["name"]
+)
+def test_surjections_match_the_letter_by_letter_search(doc):
+    pres = build_pi1(parse_job(json.dumps(doc)).actions).presentation
+    found = {}
+    for desc, cand in pq._quotient_catalogue(8):
+        got = list(pq._surjections(pres, cand))
+        assert got == list(_reference_surjections(pres, cand)), desc
+        found[desc] = len(got)
+    # H1 = (Z/5)^3: only cyclic(5) is a quotient, 5^3 - 1 surjections
+    assert found == {desc: 124 if desc == "cyclic(5)" else 0 for desc in found}
+
+
+def test_surjections_match_the_letter_by_letter_search_on_a_dihedral_quotient():
+    # <a, b | a^2, b^2, (ab)^3> is S3: onto dihedral(3) through its 6
+    # automorphisms, onto cyclic(2) only by a, b -> 1
+    p = presentation(["a", "b"], ["a^2", "b^2", "a*b*a*b*a*b"])
+    found = {}
+    for desc, cand in pq._quotient_catalogue(8):
+        got = list(pq._surjections(p, cand))
+        assert got == list(_reference_surjections(p, cand)), desc
+        found[desc] = len(got)
+    assert found["dihedral(3)"] == 6
+    assert found["cyclic(2)"] == 1
+    assert sum(found.values()) == 7
 
 
 # Subgroup words that present the same fiber products to Todd-Coxeter: each

@@ -25,6 +25,7 @@ from prodquot.rewrite import (
     finite_group_presentation,
     kernel_subgroup_words,
     reidemeister_schreier,
+    subgroup_abelian_invariants,
 )
 from prodquot.words import Word, free_reduce
 
@@ -67,6 +68,7 @@ def test_free_group_index_two_subgroup_is_free_of_rank_three():
     assert sub.presentation.relators == ()
     inv = abelian_invariants(sub.presentation)
     assert (inv.free_rank, inv.torsion) == (3, ())
+    assert subgroup_abelian_invariants(f2, t) == inv
 
 
 def test_rewrite_expand_round_trip_in_free_group():
@@ -119,6 +121,7 @@ def test_genus_two_surface_double_cover_is_genus_three():
     # An index-2 cover of a genus-2 surface is a genus-3 surface: the
     # abelianization is free of rank 6 with no torsion.
     assert (inv.free_rank, inv.torsion) == (6, ())
+    assert subgroup_abelian_invariants(surf, t) == inv
     assert simplified.ngens == 6
     assert len(simplified.relators) == 1
 
@@ -130,6 +133,8 @@ def test_rs_rejects_a_table_that_is_not_a_coset_action():
     table = fiber_product_table(p, cyclic_group(3), [[1], ()], max_cosets=3)
     with pytest.raises(ValueError, match="walks from coset 0"):
         reidemeister_schreier(p, table)
+    with pytest.raises(ValueError, match="walks from coset 0"):
+        subgroup_abelian_invariants(p, table)
 
 
 def test_kernel_subgroup_words_give_kernel_index():
@@ -223,6 +228,10 @@ def _check_against_reference(ambient, table, seed):
     assert sub.expansions == expansions
     assert sub.presentation.gens == tuple(f"z{i}" for i in range(len(expansions)))
     assert sub.presentation.relators == relators
+    # the abelianized walk gives the presentation's invariants
+    assert subgroup_abelian_invariants(ambient, table) == abelian_invariants(
+        sub.presentation
+    )
     # rewriting: the conjugated relators, the generators' expansions and
     # seeded products of expansions all lie in the subgroup
     reps = table.transversal()
@@ -251,6 +260,15 @@ def _check_against_reference(ambient, table, seed):
                 rewrite(w)
 
 
+def _canonical_candidate_table(res):
+    """Coset table of the paper's canonical candidate: the kernel of
+    pi1 -> G / <stabilizers>."""
+    g = res.diagonal.group
+    quo, proj = quotient(g, normal_closure(g, {te.g for te in res.torsion}))
+    values = [proj.apply_idx(v) for v in res.psi]
+    return fiber_product_table(res.presentation, quo, [values, ()], res.max_cosets)
+
+
 @pytest.mark.parametrize("name", bundled_job_names())
 def test_rs_matches_conjugate_and_rewrite_on_bundled_tables(name):
     job = load_bundled_job(name)
@@ -259,6 +277,9 @@ def test_rs_matches_conjugate_and_rewrite_on_bundled_tables(name):
     for j, lift in enumerate(diag.lifts):
         _check_against_reference(lift.ambient, lift.table, f"{name}-lift-{j}")
     _check_against_reference(diag.ambient, diag.table, f"{name}-diagonal")
+    _check_against_reference(
+        res.presentation, _canonical_candidate_table(res), f"{name}-canonical"
+    )
 
 
 # Beauville's (Z/5)^2 surface: two commuting 5-cycles acting freely on two
