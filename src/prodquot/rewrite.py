@@ -12,7 +12,13 @@ When only the subgroup's abelianization is wanted (the verify search's
 kernels), ``subgroup_abelian_invariants`` runs the same labelling and walks
 but keeps each walk as an integer row of label counts, the abelianized
 Reidemeister-Schreier method (Holt-Eick-O'Brien, Handbook of Computational
-Group Theory, 2005): no words, no free reduction, no presentation.
+Group Theory, 2005): no words, no free reduction, no presentation.  When
+the subgroup is normal its coset table is the quotient's Cayley graph, so
+left translation by a coset representative carries the walk from coset 0
+onto the walk from that coset: each relator is walked once, and every
+coset's row sums the labels of the translated edges.  Whether each
+translation commutes with the table is checked exactly; a table that fails
+the check (a non-normal subgroup) walks every relator from every coset.
 Finite groups are evaluated through their Cayley tables.
 """
 
@@ -134,23 +140,95 @@ def reidemeister_schreier(
     )
 
 
+def _translation(table: CosetTable, coset: int) -> list[int] | None:
+    """The map d -> coset(rep(c) * rep(d)) for c = coset, built along the
+    table's spanning tree, or None when it does not commute with every column
+    (rep(c) does not normalize the subgroup).  When it commutes, it carries
+    each walk from coset 0 onto the same walk from c."""
+    rows = table.table
+    image = [coset]
+    for parent, col in table.tree:
+        image.append(rows[image[parent]][col])
+    for d, row in enumerate(rows):
+        if rows[image[d]] != [image[t] for t in row]:
+            return None
+    return image
+
+
+def _translated_rows(
+    ambient: Presentation, table: CosetTable, labels: list[list[int]], ngens: int
+) -> list[list[int]] | None:
+    """The rows of ``_relator_walks`` as label counts, from one walk per
+    relator: when every coset's ``_translation`` commutes with the table (the
+    subgroup is normal, the table the quotient's Cayley graph), the walk from
+    c crosses the translates of the edges the walk from 0 crosses, so c's row
+    sums their labels.  None when some translation does not commute."""
+    rows = table.table
+    ncols = len(rows[0])
+    # the table flattened: cell d * ncols + col holds its target times ncols
+    step = [target * ncols for row in rows for target in row]
+    # each edge's forward cell d * ncols + 2g and the cell that crosses it
+    # backwards; the labels on the two cells are opposite
+    edges = [(cell, step[cell] + cell % ncols + 1) for cell in range(0, len(step), 2)]
+    # per relator, the net number of times its walk from 0 crosses each edge
+    crossings: list[list[tuple[int, int]]] = []
+    for i, cols in enumerate(ambient.relator_cols):
+        counts = [0] * len(step)
+        c = 0
+        for col in cols:
+            cell = c + col
+            counts[cell] += 1
+            c = step[cell]
+        if c:
+            raise ValueError(f"relator {i} walks from coset 0 to {c // ncols}")
+        crossings.append(
+            [(fwd, counts[fwd] - counts[back]) for fwd, back in edges
+             if counts[fwd] != counts[back]]
+        )
+    matrix: list[list[int]] = []
+    for c in range(table.index):
+        image = _translation(table, c)
+        if image is None:
+            return None
+        # the translated edge's row slot; a spanning-tree edge (label 0)
+        # lands in the spare last slot, dropped below
+        slot = [label - 1 for d in image for label in labels[d]]
+        for crossing in crossings:
+            row = [0] * (ngens + 1)
+            for key, count in crossing:
+                row[slot[key]] += count
+            row.pop()
+            matrix.append(row)
+    return matrix
+
+
+def _relation_matrix(ambient: Presentation, table: CosetTable) -> tuple[list[list[int]], int]:
+    """The abelianized relation rows of the subgroup with the given coset
+    table (one per relator walk of ``_relator_walks``, +-1 per edge label
+    met, in its order) and the number of Schreier generators.  A normal
+    subgroup's rows come from one walk per relator (``_translated_rows``)."""
+    labels, edges = _schreier_labels(table)
+    ngens = len(edges)
+    matrix = _translated_rows(ambient, table, labels, ngens)
+    if matrix is None:
+        matrix = []
+        for letters in _relator_walks(ambient, table, labels):
+            row = [0] * ngens
+            for label, count in Counter(letters).items():
+                if label > 0:
+                    row[label - 1] += count
+                else:
+                    row[-label - 1] -= count
+            matrix.append(row)
+    return matrix, ngens
+
+
 def subgroup_abelian_invariants(ambient: Presentation, table: CosetTable) -> AbelianInvariants:
     """Abelianization of the subgroup with the given coset table: the
     invariants of ``reidemeister_schreier(ambient, table).presentation``
     without building it.  Exponent sums survive free reduction, so each
-    relator walk is one integer row, +-1 per edge label met."""
-    labels, edges = _schreier_labels(table)
-    ngens = len(edges)
-    matrix: list[list[int]] = []
-    for letters in _relator_walks(ambient, table, labels):
-        row = [0] * ngens
-        for label, count in Counter(letters).items():
-            if label > 0:
-                row[label - 1] += count
-            else:
-                row[-label - 1] -= count
-        matrix.append(row)
-    return invariants_from_matrix(matrix, ngens)
+    relator walk is one integer row (``_relation_matrix``)."""
+    return invariants_from_matrix(*_relation_matrix(ambient, table))
 
 
 def evaluate_word(word: Word, gen_values: Sequence[int], group) -> int:

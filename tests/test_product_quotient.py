@@ -4,7 +4,7 @@ import itertools
 import json
 
 import pytest
-from test_rewrite import BEAUVILLE_JOB
+from test_rewrite import BEAUVILLE_JOB, _reference_rows
 
 import prodquot.product_quotient as pq
 from prodquot.acceptance import _brute_force_torsion_count
@@ -34,7 +34,12 @@ from prodquot.product_quotient import (
     torsion_generators,
     verify_from_pi1,
 )
-from prodquot.rewrite import evaluate_word, kernel_subgroup_words, reidemeister_schreier
+from prodquot.rewrite import (
+    _relation_matrix,
+    evaluate_word,
+    kernel_subgroup_words,
+    reidemeister_schreier,
+)
 from prodquot.words import Word, free_reduce
 
 
@@ -306,6 +311,15 @@ def test_structure_and_verify_never_overflow_on_bundled_jobs(monkeypatch):
         assert not overflows, name
 
 
+@pytest.mark.parametrize("name", bundled_job_names())
+def test_first_betti_number_is_twice_the_quotient_genera(name):
+    # b1(pi1) = 2 * sum of the genera of the quotient curves C_i / G
+    job = load_bundled_job(name)
+    res = build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
+    expected = 2 * sum(s.genus for s in res.quotient_signatures)
+    assert abelian_invariants(res.presentation).free_rank == expected
+
+
 def test_structure_with_verify_enumerates_a_finite_pi1_once(monkeypatch):
     job = load_bundled_job("kummer")
     budgets = job.budgets
@@ -357,11 +371,15 @@ def test_kernel_invariants_match_rs_on_every_beauville_verify_kernel(monkeypatch
         return inv
 
     monkeypatch.setattr(pq, "subgroup_abelian_invariants", recording)
+    # every kernel is normal, so its rows come from one walk per relator
+    monkeypatch.setattr("prodquot.rewrite._relator_walks", None)
     ver = verify_from_pi1(res, bound)
+    monkeypatch.undo()
     assert ver.status == ("INCONCLUSIVE" if bound == 8 else "FOUND")
     assert [table.index for _, table, _ in met] == ([5] * 31 if bound == 8 else [25])
     for ambient, table, inv in met:
         assert inv == abelian_invariants(reidemeister_schreier(ambient, table).presentation)
+        assert _relation_matrix(ambient, table) == _reference_rows(ambient, table)
 
 
 def _reference_surjections(p, quo):

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,6 +22,9 @@ from prodquot.presentation import abelian_invariants, presentation, tietze_simpl
 from prodquot.product_quotient import build_pi1
 from prodquot.rewrite import (
     WordNotInSubgroup,
+    _relation_matrix,
+    _relator_walks,
+    _schreier_labels,
     evaluate_word,
     finite_group_presentation,
     kernel_subgroup_words,
@@ -69,6 +73,7 @@ def test_free_group_index_two_subgroup_is_free_of_rank_three():
     inv = abelian_invariants(sub.presentation)
     assert (inv.free_rank, inv.torsion) == (3, ())
     assert subgroup_abelian_invariants(f2, t) == inv
+    assert _relation_matrix(f2, t) == _reference_rows(f2, t)
 
 
 def test_rewrite_expand_round_trip_in_free_group():
@@ -122,6 +127,7 @@ def test_genus_two_surface_double_cover_is_genus_three():
     # abelianization is free of rank 6 with no torsion.
     assert (inv.free_rank, inv.torsion) == (6, ())
     assert subgroup_abelian_invariants(surf, t) == inv
+    assert _relation_matrix(surf, t) == _reference_rows(surf, t)
     assert simplified.ngens == 6
     assert len(simplified.relators) == 1
 
@@ -142,7 +148,9 @@ def test_kernel_subgroup_words_give_kernel_index():
     p6 = presentation(["a"], ["a^6"])
     z3 = cyclic_group(3)
     kw = kernel_subgroup_words([1], z3)
-    assert todd_coxeter(p6, kw).index == 3
+    t = todd_coxeter(p6, kw)
+    assert t.index == 3
+    assert _relation_matrix(p6, t) == _reference_rows(p6, t)
 
     entry = next(e for e in build_corpus() if e.name == "sym3")
     kw = kernel_subgroup_words(list(entry.gen_images), entry.group)
@@ -150,6 +158,26 @@ def test_kernel_subgroup_words_give_kernel_index():
 
     with pytest.raises(ValueError, match="do not generate"):
         kernel_subgroup_words([0], z3)
+
+
+def test_non_normal_subgroup_rows_come_from_every_coset(monkeypatch):
+    # <a> has index 3 in S3 = <a, b | a^2, b^3, (ab)^2> and is not normal:
+    # no coset but 0 translates the table, so each coset walks every relator
+    s3 = presentation(["a", "b"], ["a^2", "b^3", "a*b*a*b"])
+    t = todd_coxeter(s3, [s3.word("a")])
+    assert t.index == 3
+    walks = []
+
+    def recording(*args):
+        walks.append(args)
+        return _relator_walks(*args)
+
+    monkeypatch.setattr("prodquot.rewrite._relator_walks", recording)
+    assert _relation_matrix(s3, t) == _reference_rows(s3, t)
+    assert len(walks) == 1
+    inv = subgroup_abelian_invariants(s3, t)
+    assert (inv.free_rank, inv.torsion) == (0, (2,))
+    assert inv == abelian_invariants(reidemeister_schreier(s3, t).presentation)
 
 
 @pytest.mark.parametrize(
@@ -222,6 +250,31 @@ def _reference_rs(ambient, table):
     return tuple(expansions), tuple(relators), rewrite
 
 
+def _reference_rows(ambient, table):
+    """The abelianized relation rows as they were built before a normal
+    subgroup's rows were translated from one walk per relator: every relator
+    walked from every coset, each walk's labels counted into a row."""
+    labels, edges = _schreier_labels(table)
+    rows = []
+    for c in range(table.index):
+        for cols in ambient.relator_cols:
+            letters = []
+            d = c
+            for col in cols:
+                if labels[d][col]:
+                    letters.append(labels[d][col])
+                d = table.table[d][col]
+            assert d == c
+            row = [0] * len(edges)
+            for label, count in Counter(letters).items():
+                if label > 0:
+                    row[label - 1] += count
+                else:
+                    row[-label - 1] -= count
+            rows.append(row)
+    return rows, len(edges)
+
+
 def _check_against_reference(ambient, table, seed):
     sub = reidemeister_schreier(ambient, table, prefix="z")
     expansions, relators, rewrite = _reference_rs(ambient, table)
@@ -232,6 +285,8 @@ def _check_against_reference(ambient, table, seed):
     assert subgroup_abelian_invariants(ambient, table) == abelian_invariants(
         sub.presentation
     )
+    # row for row, in order: smith_diagonal's pivot path depends on it
+    assert _relation_matrix(ambient, table) == _reference_rows(ambient, table)
     # rewriting: the conjugated relators, the generators' expansions and
     # seeded products of expansions all lie in the subgroup
     reps = table.transversal()
