@@ -25,7 +25,7 @@ import statistics
 import subprocess
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from _common import ROOT, git_sha
 
 
 def run_once() -> list[dict]:
@@ -45,22 +45,6 @@ def run_child() -> list[dict]:
         check=True,
     )
     return json.loads(out.stdout)
-
-
-def git_sha() -> str:
-    """HEAD of the checkout, suffixed "-dirty" when src/ has local changes."""
-    try:
-        head = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
-        )
-        dirty = subprocess.run(
-            ["git", "status", "--porcelain", "src"], cwd=ROOT, capture_output=True, text=True
-        )
-    except OSError:
-        return "unknown"
-    if head.returncode:
-        return "unknown"
-    return head.stdout.strip() + ("-dirty" if dirty.stdout.strip() else "")
 
 
 def summarize(runs: list[list[dict]]) -> list[dict]:

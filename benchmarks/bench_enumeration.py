@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import platform
-import subprocess
 import sys
 import time
+
+from _common import git_sha
 
 from prodquot.coset import todd_coxeter
 from prodquot.presentation import presentation
@@ -111,23 +111,6 @@ def run_cases(repeats: int) -> list[dict]:
             }
         )
     return out
-
-
-def git_sha() -> str:
-    """HEAD of the checkout, suffixed "-dirty" when src/ has local changes."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    try:
-        head = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True
-        )
-        dirty = subprocess.run(
-            ["git", "status", "--porcelain", "src"], cwd=root, capture_output=True, text=True
-        )
-    except OSError:
-        return "unknown"
-    if head.returncode:
-        return "unknown"
-    return head.stdout.strip() + ("-dirty" if dirty.stdout.strip() else "")
 
 
 def main() -> int:

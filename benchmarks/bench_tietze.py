@@ -37,7 +37,8 @@ import subprocess
 import sys
 import time
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+from _common import ROOT, git_sha
+
 POOL_FILE = os.path.join(ROOT, "pipebench", "frozen", "classify_pool.json")
 STRATA = ("D4 (1;2,2)x(1;2,2) free", "Z2xZ4 (1;2,2)x(1;2,2) free")
 
@@ -113,22 +114,6 @@ def run_child(src: str, name: str, trace: bool, limit: float) -> dict:
         cmd.append("--trace")
     out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
-
-
-def git_sha() -> str:
-    """HEAD of the checkout, suffixed "-dirty" when src/ has local changes."""
-    try:
-        head = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True
-        )
-        dirty = subprocess.run(
-            ["git", "status", "--porcelain", "src"], cwd=ROOT, capture_output=True, text=True
-        )
-    except OSError:
-        return "unknown"
-    if head.returncode:
-        return "unknown"
-    return head.stdout.strip() + ("-dirty" if dirty.stdout.strip() else "")
 
 
 def measure(src: str, name: str, runs: list[dict], limit: float, trace_limit: float) -> None:

@@ -21,6 +21,10 @@ from .presentation import Presentation
 from .words import Word
 
 
+# enumeration walks element tuples of the target group; larger groups are refused
+ENUMERATION_MAX_ORDER = 128
+
+
 class NonIntegralGenus(ValueError):
     pass
 
@@ -197,10 +201,7 @@ def validate_generating_vector(v: GeneratingVector) -> Optional[VectorViolation]
 
 
 def enumerate_generating_vectors(
-    h: FiniteGroup,
-    genus: int,
-    periods: Sequence[int],
-    max_group_order: int = 128,
+    h: FiniteGroup, genus: int, periods: Sequence[int]
 ) -> list[GeneratingVector]:
     """All generating vectors for the given data, in deterministic order.
 
@@ -208,8 +209,8 @@ def enumerate_generating_vectors(
     solved from the long relation when genus is 0), then over a/b images with
     the last pair filtered by the required commutator value.
     """
-    if h.order > max_group_order:
-        raise GroupTooLarge(f"vector enumeration capped at order {max_group_order}")
+    if h.order > ENUMERATION_MAX_ORDER:
+        raise GroupTooLarge(f"vector enumeration capped at order {ENUMERATION_MAX_ORDER}")
     periods = tuple(periods)
     by_order: dict[int, list[int]] = {}
     for m in set(periods):

@@ -3,12 +3,13 @@
 Elements are stored in the order a breadth-first closure from the generators
 discovers them (identity first, then right-multiplications in generator
 order), and every "least element" tie-break in the package refers to this
-index.  Index arithmetic goes through a Cayley table built on first use and
-limited to DEFAULT_PAIR_BOUND entries.  A subgroup is the sorted list of
-its element indices (``normal_closure``, ``centralizer``, a hom's
-``kernel_indices``), and ``quotient`` takes one.  Groups are immutable once
-built (the table is a cache of fixed content) and safe to share across
-threads.
+index.  Closure raises GroupTooLarge past MAX_ORDER elements, so the Cayley
+table that index arithmetic goes through (built on first use) has at most
+10**6 entries, and every homomorphism can be checked on all pairs.  A
+subgroup is the sorted list of its element indices (``normal_closure``,
+``centralizer``, a hom's ``kernel_indices``), and ``quotient`` takes one.
+Groups are immutable once built (the table is a cache of fixed content) and
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-DEFAULT_ORDER_BOUND = 10**6
-DEFAULT_PAIR_BOUND = 10**6
+MAX_ORDER = 1000
 
 
 class GroupTooLarge(RuntimeError):
@@ -81,12 +81,7 @@ def perm_from_cycles(degree: int, cycles: Sequence[Sequence[int]]) -> Permutatio
 class FiniteGroup:
     """A finite permutation group closed from an explicit generator list."""
 
-    def __init__(
-        self,
-        generators: Sequence[Permutation],
-        degree: Optional[int] = None,
-        max_order: int = DEFAULT_ORDER_BOUND,
-    ):
+    def __init__(self, generators: Sequence[Permutation], degree: Optional[int] = None):
         if degree is None:
             if not generators:
                 raise ValueError("degree required for an empty generator list")
@@ -106,8 +101,8 @@ class FiniteGroup:
             for g_idx, g in enumerate(gen_images):
                 prod = tuple(map(elem.__getitem__, g))
                 if prod not in index:
-                    if len(images) >= max_order:
-                        raise GroupTooLarge(f"order exceeds {max_order}")
+                    if len(images) >= MAX_ORDER:
+                        raise GroupTooLarge(f"order exceeds {MAX_ORDER}")
                     index[prod] = len(images)
                     images.append(prod)
                     parent_of.append(e_idx)
@@ -139,14 +134,9 @@ class FiniteGroup:
         Built on first use, column by column along the word chain
         (a * e_i == (a * e_parent) * generator), so it costs one right
         multiplication per element and generator plus order**2 lookups.
-        Raises GroupTooLarge beyond DEFAULT_PAIR_BOUND entries.
         """
         if self._table is None:
             n = self.order
-            if n * n > DEFAULT_PAIR_BOUND:
-                raise GroupTooLarge(
-                    f"multiplication table needs {n * n} entries > {DEFAULT_PAIR_BOUND}"
-                )
             index = self._index
             images = [e.images for e in self.elements]
             right = [
@@ -255,17 +245,10 @@ class GroupHom:
     """Homomorphism between finite groups, defined on generators.
 
     Validation is exhaustive: the induced map is computed on every element
-    through its generator word and then checked on all pairs (bounded by
-    pair_bound).
+    through its generator word and then checked on all pairs.
     """
 
-    def __init__(
-        self,
-        source: FiniteGroup,
-        target: FiniteGroup,
-        gen_images: Sequence[int],
-        pair_bound: int = DEFAULT_PAIR_BOUND,
-    ):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, gen_images: Sequence[int]):
         if len(gen_images) != len(source.generators):
             raise ValueError("one image per source generator required")
         for v in gen_images:
@@ -275,8 +258,6 @@ class GroupHom:
         self.target = target
         self.gen_images = tuple(gen_images)
         n = source.order
-        if n * n > pair_bound:
-            raise GroupTooLarge(f"homomorphism check needs {n * n} pairs > {pair_bound}")
         src_mul = source.cayley_table()
         dst_mul = target.cayley_table()
         table = [0] * n

@@ -15,6 +15,7 @@ from .words import (
     parse_word,
     signed_letters,
     word_from_letters,
+    word_product,
     word_to_cols,
 )
 
@@ -109,9 +110,6 @@ def product_offsets(factors: Sequence[Presentation]) -> list[int]:
 
 def quotient_presentation(p: Presentation, extra: Iterable[Word]) -> Presentation:
     added = tuple(w for w in extra if not w.is_identity())
-    for w in added:
-        if w.max_generator() >= p.ngens:
-            raise ValueError("extra relator uses an unknown generator")
     return Presentation(p.gens, p.relators + added)
 
 
@@ -208,6 +206,73 @@ def _overlap_heads(rule: list[int], text: str, half: int) -> list[str]:
     return [d[s : s + half] for s in range(len(rule)) for d in doubles]
 
 
+class _Relator:
+    """One relator's letters and what the simplifier reads off them.  A
+    record is never updated: a relator whose letters change becomes a new
+    record, with a new stamp (unique within one simplification) and no
+    misses."""
+
+    __slots__ = ("letters", "key", "gens", "once", "text", "stamp", "misses")
+
+    def __init__(self, letters: list[int], stamp: int) -> None:
+        self.letters = letters
+        self.key = _canonical_cyclic(letters)
+        counts: dict[int, int] = {}  # generator -> occurrences
+        for c in letters:
+            g = abs(c) - 1
+            counts[g] = counts.get(g, 0) + 1
+        # kept as a set: keeping the dict raised bench_tietze's traced peaks ~1%
+        self.gens = set(counts)
+        # least generator occurring exactly once, if any
+        self.once = min((g for g, k in counts.items() if k == 1), default=None)
+        self.text: Optional[str] = None  # ``_letters_text``, made on demand
+        self.stamp = stamp
+        # stamps of the rules known to give this relator no overlap hit
+        self.misses: Optional[set[int]] = None
+
+
+def _dedup(rels: list[_Relator]) -> list[_Relator]:
+    """The first record of each nonempty canonical key, in order."""
+    seen: set[tuple[int, ...]] = set()
+    return [r for r in rels if r.key and not (r.key in seen or seen.add(r.key))]
+
+
+def _find_overlap(rels: list[_Relator]) -> Optional[tuple[int, list[int]]]:
+    """The first overlap hit, as its target position and rewritten letters."""
+    for r in rels:
+        if r.text is None:
+            r.text = _letters_text(r.letters)
+    for i, rec in enumerate(rels):
+        rule = rec.letters
+        ell = len(rule)
+        if ell < 2 or ell > _OVERLAP_RULE_MAX:
+            continue
+        half = ell // 2 + 1
+        stamp = rec.stamp
+        heads = None
+        for j, target in enumerate(rels):
+            text = target.text
+            if j == i or not half <= len(text) <= _OVERLAP_MAX_LEN:
+                continue
+            known = target.misses
+            if known is not None and stamp in known:
+                continue
+            if heads is None:
+                heads = _overlap_heads(rule, rec.text, half)
+            for v, head in enumerate(heads):
+                s = text.find(head)
+                if s >= 0:
+                    base = _inv_letters(rule) if v % 2 else rule
+                    tail = (base[v // 2 :] + base[: v // 2])[half:]
+                    letters = target.letters
+                    newrel = letters[:s] + _inv_letters(tail) + letters[s + half :]
+                    return j, _cyclic_reduce(newrel)
+            if known is None:
+                known = target.misses = set()
+            known.add(stamp)
+    return None
+
+
 def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
     """Simplify a presentation without ever adding generators.
 
@@ -216,123 +281,55 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
     substitution of long relator overlaps.  Deterministic; the overlap phase
     is skipped for oversized presentations (fixed thresholds).
 
+    Relators live in one list of ``_Relator`` records, each holding its
+    canonical cyclic key (for duplicate removal, which keeps the first),
+    its generator set and least once-occurring generator (for
+    elimination, ranked by length, position, generator), and its overlap
+    scan state.  A changed relator is a new record.
+
     The overlap phase takes the first hit in rule -> target -> variant ->
     position order, where a variant is a rotation of the rule or of its
     inverse and its first ``len // 2 + 1`` letters (the head) are replaced by
     the inverse of the rest.  Relators are encoded one character per letter,
-    so a head's first position in a target is one ``str.find``.  Each relator
-    slot carries an integer stamp, renewed whenever its letters change, and
-    each target remembers the rule stamps that gave it no hit: a pair's
-    outcome depends only on the two relators' letters, so it is searched
-    again only after one of them changed, and the hits stay in order.
+    so a head's first position in a target is one ``str.find``.  Each record
+    carries an integer stamp, and each target remembers the rule stamps that
+    gave it no hit: a pair's outcome depends only on the two relators'
+    letters, so it is searched again only after one of them changed, and the
+    hits stay in order.
     """
-    work = [_cyclic_reduce(signed_letters(r)) for r in p.relators]
-    work = [w for w in work if w]
+    new_stamp = itertools.count().__next__
+    rels = _dedup(
+        [_Relator(_cyclic_reduce(signed_letters(r)), new_stamp()) for r in p.relators]
+    )
     names = list(p.gens)
     # original generator -> letters over current generators
     old_to_new: list[list[int]] = [[g + 1] for g in range(p.ngens)]
     steps = 0
     # dead generators keep their numbers until the final compaction so that
-    # untouched relators keep their cached data verbatim
+    # untouched relators keep their records
     alive = [True] * p.ngens
-    keys = [_canonical_cyclic(w) for w in work]
-
-    def once_gen(letters: list[int]) -> Optional[int]:
-        """Least generator occurring exactly once, if any."""
-        counts: dict[int, int] = {}
-        for c in letters:
-            a = abs(c) - 1
-            counts[a] = counts.get(a, 0) + 1
-        return min((g for g, k in counts.items() if k == 1), default=None)
-
-    gsets = [{abs(c) - 1 for c in w} for w in work]
-    onces = [once_gen(w) for w in work]
-    # letters encoded for the overlap scan, on demand (None: not yet)
-    texts: list[Optional[str]] = [None] * len(work)
-    new_stamp = itertools.count().__next__
-    stamps = [new_stamp() for _ in work]
-    # target slot -> stamps of the rules known to give it no overlap hit
-    # (None until the first one)
-    misses: list[Optional[set[int]]] = [None] * len(work)
-    slots = (work, keys, gsets, onces, texts, stamps, misses)
-
-    def dedup() -> None:
-        seen: set[tuple[int, ...]] = set()
-        kept = []
-        for i, key in enumerate(keys):
-            if key and key not in seen:
-                seen.add(key)
-                kept.append(i)
-        for column in slots:
-            column[:] = [column[i] for i in kept]
-
-    def drop(i: int) -> None:
-        for column in slots:
-            del column[i]
-
-    def refresh(i: int) -> None:
-        keys[i] = _canonical_cyclic(work[i])
-        gsets[i] = {abs(c) - 1 for c in work[i]}
-        onces[i] = once_gen(work[i])
-        texts[i] = None
-        stamps[i] = new_stamp()
-        misses[i] = None
-
-    def find_overlap() -> Optional[tuple[int, list[int]]]:
-        """The first overlap hit, as its target slot and rewritten letters."""
-        for j, text in enumerate(texts):
-            if text is None:
-                texts[j] = _letters_text(work[j])
-        for i, rule in enumerate(work):
-            ell = len(rule)
-            if ell < 2 or ell > _OVERLAP_RULE_MAX:
-                continue
-            half = ell // 2 + 1
-            stamp = stamps[i]
-            heads = None
-            for j, text in enumerate(texts):
-                if j == i or not half <= len(text) <= _OVERLAP_MAX_LEN:
-                    continue
-                known = misses[j]
-                if known is not None and stamp in known:
-                    continue
-                if heads is None:
-                    heads = _overlap_heads(rule, texts[i], half)
-                for v, head in enumerate(heads):
-                    s = text.find(head)
-                    if s >= 0:
-                        base = _inv_letters(rule) if v % 2 else rule
-                        tail = (base[v // 2 :] + base[: v // 2])[half:]
-                        target = work[j]
-                        newrel = target[:s] + _inv_letters(tail) + target[s + half :]
-                        return j, _cyclic_reduce(newrel)
-                if known is None:
-                    known = misses[j] = set()
-                known.add(stamp)
-        return None
-
-    dedup()
     changed = True
     while changed and steps < budget:
         changed = False
         # generator elimination: prefer the shortest defining relator
-        best = None
-        for ri, g in enumerate(onces):
-            if g is not None:
-                rank = (len(work[ri]), ri, g)
-                if best is None or rank < best:
-                    best = rank
+        best = min(
+            ((len(r.letters), ri, r.once) for ri, r in enumerate(rels) if r.once is not None),
+            default=None,
+        )
         if best is not None:
             _, ri, gen = best
-            rel = work[ri]
+            rel = rels.pop(ri).letters
             pos = next(i for i, c in enumerate(rel) if abs(c) - 1 == gen)
             rest = rel[pos + 1 :] + rel[:pos]
             image = _inv_letters(rest) if rel[pos] > 0 else list(rest)
-            drop(ri)
-            for i in range(len(work)):
-                if gen in gsets[i]:
-                    work[i] = _cyclic_reduce(_substitute(work[i], gen, image))
-                    refresh(i)
+            rels = _dedup(
+                [
+                    _Relator(_cyclic_reduce(_substitute(r.letters, gen, image)), new_stamp())
+                    if gen in r.gens
+                    else r
+                    for r in rels
+                ]
+            )
             target = gen + 1
             for i, w in enumerate(old_to_new):
                 if any(c == target or c == -target for c in w):
@@ -340,22 +337,18 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
             alive[gen] = False
             steps += 1
             changed = True
-            dedup()
             continue
         # overlap substitution, gated by size
-        if len(work) <= _OVERLAP_MAX_RELATORS:
-            hit = find_overlap()
+        if len(rels) <= _OVERLAP_MAX_RELATORS:
+            hit = _find_overlap(rels)
             if hit is not None:
                 # The result is always shorter: a rule of length l trades
                 # l // 2 + 1 letters for l - (l // 2 + 1) and reduction only cuts.
+                # An empty result is dropped with the duplicates.
                 j, newrel = hit
-                if newrel:
-                    work[j] = newrel
-                    refresh(j)
-                else:
-                    drop(j)
+                rels[j] = _Relator(newrel, new_stamp())
                 steps += 1
-                dedup()
+                rels = _dedup(rels)
                 changed = True
 
     # compact the numbering to the surviving generators
@@ -369,7 +362,7 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
     def compact(letters: list[int]) -> list[int]:
         return [(rank[abs(c) - 1] + 1) * (1 if c > 0 else -1) for c in letters]
 
-    work = [compact(w) for w in work]
+    work = [compact(r.letters) for r in rels]
     old_to_new = [compact(w) for w in old_to_new]
     work.sort(key=lambda w: (len(w), w))
     out = Presentation(tuple(kept_names), tuple(word_from_letters(w) for w in work))
@@ -379,7 +372,4 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
 
 def transport_word(word: Word, mapping: Sequence[Word]) -> Word:
     """Rewrite a word over original generators through a Tietze mapping."""
-    out = Word()
-    for g, e in word.letters:
-        out = out * (mapping[g] ** e)
-    return out
+    return word_product(mapping[g] ** e for g, e in word.letters)

@@ -65,7 +65,7 @@ from .rewrite import (
     reidemeister_schreier,
     subgroup_abelian_invariants,
 )
-from .words import Word, free_reduce
+from .words import Word, free_reduce, word_product
 
 DEFAULT_MAX_COSETS = 100_000
 DEFAULT_TIETZE_STEPS = 10_000
@@ -75,13 +75,6 @@ _HOM_TUPLE_BOUND = 200_000
 
 class InvalidVector(ValueError):
     """A generating vector violated an order, relation, or generation check."""
-
-
-def _pow_idx(group: FiniteGroup, a: int, n: int) -> int:
-    acc = 0
-    for _ in range(n):
-        acc = group.mul_idx(acc, a)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +91,7 @@ class CurveAction:
     genus: int
     kernel_indices: tuple[int, ...]
     section: tuple[Word, ...]  # H element -> orbifold word mapping onto it
+    powers: tuple[tuple[int, ...], ...]  # powers[q][ell] = image of c_q^ell, ell < m_q
 
     @property
     def acting_group(self) -> FiniteGroup:
@@ -127,7 +121,14 @@ def build_curve_action(
     if violation is not None:
         raise InvalidVector(violation.message)
     genus = riemann_hurwitz_genus(vector.target.order, vector.signature)
-    section = bfs_section(vector.target, vector.gen_images())
+    h = vector.target
+    section = bfs_section(h, vector.gen_images())
+    powers = []
+    for d, m in zip(vector.c_images, vector.periods):
+        row = [0]
+        for _ in range(1, m):
+            row.append(h.mul_idx(row[-1], d))
+        powers.append(tuple(row))
     return CurveAction(
         group,
         projection,
@@ -135,6 +136,7 @@ def build_curve_action(
         genus,
         tuple(projection.kernel_indices()),
         section,
+        tuple(powers),
     )
 
 
@@ -251,10 +253,9 @@ class DiagonalLiftGroup:
         """Rewrite a tuple given as one lift word per factor."""
         if len(parts) != len(self.lifts):
             raise ValueError("one word per factor required")
-        w = Word()
-        for part, off in zip(parts, self.offsets):
-            w = w * part.shift(off)
-        return self.subgroup.rewrite(w)
+        return self.subgroup.rewrite(
+            word_product(part.shift(off) for part, off in zip(parts, self.offsets))
+        )
 
 
 def diagonal_lift_group(
@@ -344,10 +345,8 @@ def _factor_options(action: CurveAction, target: int) -> list[TorsionFactor]:
     opts: list[TorsionFactor] = []
     if target == 0:
         opts.append(_TRIVIAL_FACTOR)
-    for q, m in enumerate(action.vector.periods):
-        d = action.vector.c_images[q]
-        for ell in range(1, m):
-            base = _pow_idx(h, d, ell)
+    for q, row in enumerate(action.powers):
+        for ell, base in enumerate(row[1:], 1):
             c = conjugating_element(h, base, target)
             if c is None:
                 continue
@@ -375,11 +374,8 @@ def torsion_generators(actions: Sequence[CurveAction]) -> list[TorsionElement]:
         out[te.key()] = te
     for i in range(n):
         ai = acts[i]
-        hi = ai.acting_group
-        for q, m in enumerate(ai.vector.periods):
-            d = ai.vector.c_images[q]
-            for ell in range(1, m):
-                target = _pow_idx(hi, d, ell)
+        for q, row in enumerate(ai.powers):
+            for ell, target in enumerate(row[1:], 1):
                 pivot = TorsionFactor(q, ell, Word())
                 for e in range(g.order):
                     if ai.p_of(e) != target:
@@ -431,10 +427,9 @@ def freeness_check(actions: Sequence[CurveAction]) -> FreenessResult:
     for a in acts:
         h = a.acting_group
         hits = {0}
-        for q, m in enumerate(a.vector.periods):
-            d = a.vector.c_images[q]
-            for ell in range(1, m):
-                hits.update(h.conjugacy_class(_pow_idx(h, d, ell)))
+        for row in a.powers:
+            for x in row[1:]:
+                hits.update(h.conjugacy_class(x))
         fixed_sets.append(hits)
     for e in range(1, g.order):
         if all(a.p_of(e) in hits for a, hits in zip(acts, fixed_sets)):
@@ -467,6 +462,10 @@ class Pi1Result:
     @property
     def actions(self) -> list[CurveAction]:
         return [lift.action for lift in self.diagonal.lifts]
+
+    @cached_property
+    def abelianization(self) -> AbelianInvariants:
+        return abelian_invariants(self.presentation)
 
     @cached_property
     def kills(self) -> list[dict[int, set[int]]]:
@@ -656,7 +655,7 @@ def structure_from_pi1(res: Pi1Result) -> StructureReport:
     in_closures = set(range(g.order))
     for a, kill in zip(acts, kills):
         h = a.acting_group
-        seeds = {_pow_idx(h, a.vector.c_images[q], e) for q in kill for e in kill[q]}
+        seeds = {a.powers[q][e] for q in kill for e in kill[q]}
         m = set(normal_closure(h, seeds))
         t_index *= h.order // len(m)
         in_closures = {e for e in in_closures if a.p_of(e) in m}
@@ -706,7 +705,7 @@ def structure_from_pi1(res: Pi1Result) -> StructureReport:
         e_bound,
         e_exact,
         free.is_free,
-        abelian_invariants(res.presentation),
+        res.abelianization,
         pi1_order,
         orb_order,
         inter,

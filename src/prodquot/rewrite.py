@@ -18,20 +18,20 @@ left translation by a coset representative carries the walk from coset 0
 onto the walk from that coset: each relator is walked once, and every
 coset's row sums the labels of the translated edges.  Whether each
 translation commutes with the table is checked exactly; a table that fails
-the check (a non-normal subgroup) walks every relator from every coset.
+the check (a non-normal subgroup) is rewritten in full, and its invariants
+are read off the presentation.
 Finite groups are evaluated through their Cayley tables.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .abelian import AbelianInvariants, invariants_from_matrix
 from .coset import CosetTable
-from .presentation import Presentation
-from .words import Word, word_from_letters, word_to_cols
+from .presentation import Presentation, abelian_invariants
+from .words import Word, word_from_letters, word_product, word_to_cols
 
 
 class WordNotInSubgroup(ValueError):
@@ -74,10 +74,7 @@ class SubgroupPresentation:
 
     def expand(self, word: Word) -> Word:
         """Send a subgroup word back to ambient generators."""
-        out = Word()
-        for g, e in word.letters:
-            out = out * (self.expansions[g] ** e)
-        return out
+        return word_product(self.expansions[g] ** e for g, e in word.letters)
 
 
 def _schreier_labels(table: CosetTable) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -103,37 +100,28 @@ def _schreier_labels(table: CosetTable) -> tuple[list[list[int]], list[tuple[int
     return labels, edges
 
 
-def _relator_walks(
-    ambient: Presentation, table: CosetTable, labels: list[list[int]]
-) -> Iterator[list[int]]:
-    """The labels met walking each relator from each coset (coset-major); the
-    walk from c rewrites rep(c) * relator * rep(c)^-1 up to free reduction.
-    A walk not ending at c raises ValueError: the table is no coset action."""
+def reidemeister_schreier(
+    ambient: Presentation, table: CosetTable, prefix: str = "x"
+) -> SubgroupPresentation:
+    """Schreier generators label the non-transversal edges; each relator at
+    coset c (coset-major) rewrites to the labels its walk from c meets, which
+    is rep(c) * relator * rep(c)^-1 up to free reduction.  A walk not ending
+    at c raises ValueError: the table is no coset action."""
     rows = table.table
+    reps = table.transversal()
+    labels, edges = _schreier_labels(table)
+    expansions = tuple(
+        reps[c] * Word(((g, 1),)) * reps[rows[c][2 * g]].inverse() for c, g in edges
+    )
+    relators: list[Word] = []
     for c in range(table.index):
         for i, cols in enumerate(ambient.relator_cols):
             letters, end = _walk(rows, labels, c, cols)
             if end != c:
                 raise ValueError(f"relator {i} walks from coset {c} to {end}")
-            yield letters
-
-
-def reidemeister_schreier(
-    ambient: Presentation, table: CosetTable, prefix: str = "x"
-) -> SubgroupPresentation:
-    """Schreier generators label the non-transversal edges; each relator at
-    coset c rewrites to the labels its walk from c meets (``_relator_walks``)."""
-    reps = table.transversal()
-    labels, edges = _schreier_labels(table)
-    expansions = tuple(
-        reps[c] * Word(((g, 1),)) * reps[table.table[c][2 * g]].inverse()
-        for c, g in edges
-    )
-    relators: list[Word] = []
-    for letters in _relator_walks(ambient, table, labels):
-        rewritten = word_from_letters(letters)
-        if not rewritten.is_identity():
-            relators.append(rewritten)
+            rewritten = word_from_letters(letters)
+            if not rewritten.is_identity():
+                relators.append(rewritten)
     names = tuple(f"{prefix}{i}" for i in range(len(expansions)))
     return SubgroupPresentation(
         Presentation(names, tuple(relators)), ambient, table, labels, expansions
@@ -156,13 +144,19 @@ def _translation(table: CosetTable, coset: int) -> list[int] | None:
 
 
 def _translated_rows(
-    ambient: Presentation, table: CosetTable, labels: list[list[int]], ngens: int
-) -> list[list[int]] | None:
-    """The rows of ``_relator_walks`` as label counts, from one walk per
-    relator: when every coset's ``_translation`` commutes with the table (the
-    subgroup is normal, the table the quotient's Cayley graph), the walk from
-    c crosses the translates of the edges the walk from 0 crosses, so c's row
-    sums their labels.  None when some translation does not commute."""
+    ambient: Presentation, table: CosetTable
+) -> tuple[list[list[int]], int] | None:
+    """The abelianized relation rows of the subgroup with the given coset
+    table and the number of Schreier generators.  Row (c, relator) counts,
+    with sign, the labels that relator's walk from coset c meets, so the
+    nonzero rows are those of the exponent sums of ``reidemeister_schreier``'s
+    relators, in order.  Each relator is walked once: when every coset's
+    ``_translation`` commutes with the table (the subgroup is normal, the
+    table the quotient's Cayley graph), the walk from c crosses the
+    translates of the edges the walk from 0 crosses, so c's row sums their
+    labels.  None when some translation does not commute."""
+    labels, edges = _schreier_labels(table)
+    ngens = len(edges)
     rows = table.table
     ncols = len(rows[0])
     # the table flattened: cell d * ncols + col holds its target times ncols
@@ -199,36 +193,19 @@ def _translated_rows(
                 row[slot[key]] += count
             row.pop()
             matrix.append(row)
-    return matrix
-
-
-def _relation_matrix(ambient: Presentation, table: CosetTable) -> tuple[list[list[int]], int]:
-    """The abelianized relation rows of the subgroup with the given coset
-    table (one per relator walk of ``_relator_walks``, +-1 per edge label
-    met, in its order) and the number of Schreier generators.  A normal
-    subgroup's rows come from one walk per relator (``_translated_rows``)."""
-    labels, edges = _schreier_labels(table)
-    ngens = len(edges)
-    matrix = _translated_rows(ambient, table, labels, ngens)
-    if matrix is None:
-        matrix = []
-        for letters in _relator_walks(ambient, table, labels):
-            row = [0] * ngens
-            for label, count in Counter(letters).items():
-                if label > 0:
-                    row[label - 1] += count
-                else:
-                    row[-label - 1] -= count
-            matrix.append(row)
     return matrix, ngens
 
 
 def subgroup_abelian_invariants(ambient: Presentation, table: CosetTable) -> AbelianInvariants:
     """Abelianization of the subgroup with the given coset table: the
-    invariants of ``reidemeister_schreier(ambient, table).presentation``
-    without building it.  Exponent sums survive free reduction, so each
-    relator walk is one integer row (``_relation_matrix``)."""
-    return invariants_from_matrix(*_relation_matrix(ambient, table))
+    invariants of ``reidemeister_schreier(ambient, table).presentation``.
+    Exponent sums survive free reduction, so a normal subgroup's come
+    straight from ``_translated_rows``, with no presentation built; any
+    other subgroup's from the presentation."""
+    rows = _translated_rows(ambient, table)
+    if rows is None:
+        return abelian_invariants(reidemeister_schreier(ambient, table).presentation)
+    return invariants_from_matrix(*rows)
 
 
 def evaluate_word(word: Word, gen_values: Sequence[int], group) -> int:

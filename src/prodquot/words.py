@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -48,13 +49,8 @@ class Word:
         return Word(_reduce(self.letters + other.letters))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        base = self if n >= 0 else self.inverse()
+        return Word(_reduce(base.letters * abs(n)))
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
@@ -91,6 +87,12 @@ class Word:
 
 def free_reduce(pairs: Iterable[tuple[int, int]]) -> Word:
     return Word(_reduce(pairs))
+
+
+def word_product(words: Iterable[Word]) -> Word:
+    """The product of the words in one reduction pass; free reduction is
+    unique, so this equals multiplying them one at a time."""
+    return Word(_reduce(chain.from_iterable(w.letters for w in words)))
 
 
 def word_to_cols(word: Word) -> list[int]:

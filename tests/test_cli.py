@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import prodquot
+import prodquot.presentation as presentation_module
 from prodquot.cli import (
+    DEFAULT_OUTPUTS,
     ParseError,
     EXIT_OK,
     EXIT_OVERFLOW,
@@ -190,26 +192,59 @@ def test_exit_code_validation(tmp_path, capsys):
     assert main(["run", "--job", str(missing), "--quiet"]) == EXIT_VALIDATION
 
 
+def _run_with_group(tmp_path, group, projection="identity"):
+    """Exit code and seconds of `prodquot run` on MINIMAL_JOB over another group."""
+    doc = dict(MINIMAL_JOB, group=group)
+    doc["actions"] = [dict(MINIMAL_JOB["actions"][0], projection=projection)]
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["run", "--job", str(job), "--quiet"])
+    return code, time.perf_counter() - start
+
+
 @pytest.mark.parametrize("projection", ["identity", "trivial"])
 def test_oversized_group_with_named_projection_is_a_validation_error(
     tmp_path, capsys, projection
 ):
-    # S7 has order 5040; checking a homomorphism on it needs 5040**2 pairs
-    doc = dict(
-        MINIMAL_JOB,
-        group={"degree": 7, "generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]},
-    )
-    doc["actions"] = [dict(MINIMAL_JOB["actions"][0], projection=projection)]
-    job = tmp_path / "s7.json"
-    job.write_text(json.dumps(doc))
-    start = time.perf_counter()
-    code = main(["run", "--job", str(job), "--quiet"])
-    elapsed = time.perf_counter() - start
+    # S7 has order 5040, past the closure limit: the group itself is refused
+    s7 = {"degree": 7, "generators": [[1, 0, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6, 0]]}
+    code, elapsed = _run_with_group(tmp_path, s7, projection)
     err = capsys.readouterr().err
     assert code == EXIT_VALIDATION
-    assert "actions[0].projection" in err
+    assert "group: order exceeds 1000" in err
     assert "Traceback" not in err
     assert elapsed < 1.0
+
+
+def test_s10_group_is_rejected_at_the_group_in_milliseconds(tmp_path, capsys):
+    # S10 = <(0 1), (0 ... 9)> has order 3628800; its closure stops at 1001
+    # elements, before any projection is checked
+    s10 = {"degree": 10, "generators": [[1, 0, *range(2, 10)], [*range(1, 10), 0]]}
+    code, elapsed = _run_with_group(tmp_path, s10)
+    err = capsys.readouterr().err
+    assert code == EXIT_VALIDATION
+    assert "group: order exceeds 1000" in err
+    assert "Traceback" not in err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("name", bundled_job_names())
+def test_default_outputs_abelianize_pi1_once(monkeypatch, name):
+    # the abelianization output and the structure report share one SNF
+    job = load_bundled_job(name).with_outputs(DEFAULT_OUTPUTS)
+    calls = []
+    original = presentation_module.invariants_from_matrix
+
+    def counting(matrix, ngens):
+        calls.append(ngens)
+        return original(matrix, ngens)
+
+    monkeypatch.setattr(presentation_module, "invariants_from_matrix", counting)
+    report = run_job(job)
+    assert report["status"] == "ok"
+    assert len(calls) == 1
+    assert calls[0] == len(report["results"]["pi1"]["presentation"]["generators"])
 
 
 @pytest.mark.parametrize(

@@ -175,7 +175,7 @@ def test_enumerate_vector_counts_match_brute_force():
 
 def test_enumerate_vectors_group_size_guard():
     with pytest.raises(GroupTooLarge):
-        enumerate_generating_vectors(symmetric_group(4), 0, (2, 3, 4), max_group_order=8)
+        enumerate_generating_vectors(symmetric_group(6), 0, (2, 3, 4))  # order 720
 
 
 def test_quotient_signature_fixed_cases():

@@ -3,7 +3,7 @@
 import pytest
 
 from prodquot.perm import (
-    DEFAULT_PAIR_BOUND,
+    MAX_ORDER,
     FiniteGroup,
     GroupHom,
     GroupTooLarge,
@@ -57,8 +57,10 @@ def test_standard_group_orders():
 
 
 def test_group_too_large_guard():
+    # a group of order MAX_ORDER closes, one element more does not
+    assert cyclic_group(1000).order == 1000
     with pytest.raises(GroupTooLarge):
-        FiniteGroup(symmetric_group(5).generators, max_order=100)
+        cyclic_group(1001)
 
 
 def test_element_indexing_starts_at_identity():
@@ -248,11 +250,9 @@ def test_generated_order_matches_closure():
         assert sorted(got) == sorted(g.element_index(e) for e in closure.elements)
 
 
-def test_mul_idx_beyond_the_pair_bound_raises_without_building_a_table():
-    g = symmetric_group(7)  # 5040**2 entries exceed the bound
-    assert g.order**2 > DEFAULT_PAIR_BOUND
-    with pytest.raises(GroupTooLarge, match=str(DEFAULT_PAIR_BOUND)):
-        g.mul_idx(1, 2)
-    assert g._table is None
-    # the element bookkeeping that needs no table still works
-    assert g.element_index(g.elements[17]) == 17
+def test_closing_a_group_past_the_order_limit_raises():
+    # S7 has order 5040: its closure stops at 1000 elements, so no group
+    # that closes has a Cayley table past 10**6 entries
+    assert MAX_ORDER == 1000
+    with pytest.raises(GroupTooLarge, match="order exceeds 1000"):
+        symmetric_group(7)

@@ -35,7 +35,7 @@ from prodquot.product_quotient import (
     verify_from_pi1,
 )
 from prodquot.rewrite import (
-    _relation_matrix,
+    _translated_rows,
     evaluate_word,
     kernel_subgroup_words,
     reidemeister_schreier,
@@ -371,15 +371,16 @@ def test_kernel_invariants_match_rs_on_every_beauville_verify_kernel(monkeypatch
         return inv
 
     monkeypatch.setattr(pq, "subgroup_abelian_invariants", recording)
-    # every kernel is normal, so its rows come from one walk per relator
-    monkeypatch.setattr("prodquot.rewrite._relator_walks", None)
+    # every kernel is normal, so its rows come from one walk per relator and
+    # no presentation is built
+    monkeypatch.setattr("prodquot.rewrite.reidemeister_schreier", None)
     ver = verify_from_pi1(res, bound)
     monkeypatch.undo()
     assert ver.status == ("INCONCLUSIVE" if bound == 8 else "FOUND")
     assert [table.index for _, table, _ in met] == ([5] * 31 if bound == 8 else [25])
     for ambient, table, inv in met:
         assert inv == abelian_invariants(reidemeister_schreier(ambient, table).presentation)
-        assert _relation_matrix(ambient, table) == _reference_rows(ambient, table)
+        assert _translated_rows(ambient, table) == _reference_rows(ambient, table)
 
 
 def _reference_surjections(p, quo):
