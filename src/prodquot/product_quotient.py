@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, Optional, Sequence
 
 from .abelian import AbelianInvariants
@@ -717,21 +717,27 @@ def structure_from_pi1(res: Pi1Result) -> StructureReport:
 # Bounded search for a finite-index product-of-surface-groups subgroup.
 
 
-def _quotient_catalogue(index_bound: int) -> list[tuple[str, FiniteGroup]]:
-    out: list[tuple[str, FiniteGroup]] = []
-    for m in range(2, index_bound + 1):
-        out.append((f"cyclic({m})", cyclic_group(m)))
-    for m in range(3, index_bound // 2 + 1):
-        out.append((f"dihedral({m})", dihedral_group(m)))
-    for a in range(2, index_bound + 1):
-        for b in range(a, index_bound + 1):
-            if a * b > index_bound:
-                break
-            out.append(
-                (f"abelian({a}x{b})", direct_product_group(cyclic_group(a), cyclic_group(b)))
-            )
-    out.sort(key=lambda item: (item[1].order, item[0]))
-    return out
+def _quotient_catalogue(index_bound: int) -> Iterator[tuple[str, FiniteGroup]]:
+    """Cyclic, dihedral and two-factor abelian groups of order at most
+    index_bound, by (order, name).  Orders are known without the groups, so
+    each group is closed only when the search reaches it."""
+    entries = [(m, f"cyclic({m})", partial(cyclic_group, m)) for m in range(2, index_bound + 1)]
+    entries += [
+        (2 * m, f"dihedral({m})", partial(dihedral_group, m))
+        for m in range(3, index_bound // 2 + 1)
+    ]
+    entries += [
+        (a * b, f"abelian({a}x{b})", partial(_abelian_group, a, b))
+        for a in range(2, index_bound + 1)
+        for b in range(a, index_bound // a + 1)
+    ]
+    entries.sort(key=lambda entry: entry[:2])
+    for _, desc, build in entries:
+        yield desc, build()
+
+
+def _abelian_group(a: int, b: int) -> FiniteGroup:
+    return direct_product_group(cyclic_group(a), cyclic_group(b))
 
 
 def _surjections(p: Presentation, quo: FiniteGroup) -> Iterator[tuple[int, ...]]:

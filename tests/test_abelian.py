@@ -1,10 +1,22 @@
+import itertools
 import json
 import random
+import sys
+import tracemalloc
 from importlib import resources
 
 import pytest
+from test_rewrite import BEAUVILLE_JOB
 
 from prodquot.abelian import AbelianInvariants, invariants_from_matrix, smith_diagonal
+from prodquot.cli import parse_job
+from prodquot.coset import fiber_product_table
+from prodquot.orbifold import Signature, orbifold_presentation
+from prodquot.perm import normal_closure, quotient
+from prodquot.presentation import quotient_presentation
+from prodquot.product_quotient import build_pi1
+from prodquot.rewrite import _translated_rows
+from prodquot.words import Word
 
 
 def frozen_cases():
@@ -129,17 +141,262 @@ def test_zero_and_duplicate_rows_change_nothing():
         assert invariants_from_matrix(padded, cols) == base, (rows, padded)
 
 
-def test_smith_diagonal_sees_first_occurrences_in_order(monkeypatch):
-    # the pivot path depends on the row order, so deduplication must keep it
+def test_smith_diagonal_reads_the_rows_as_given(monkeypatch):
+    # no deduplicated copy: the matrix itself, zero and repeated rows
+    # included, and smith_diagonal leaves it as it was
     import prodquot.abelian as abelian
 
     seen = []
 
     def recording(matrix):
-        seen.append([list(r) for r in matrix])
+        seen.append(matrix)
         return smith_diagonal(matrix)
 
     monkeypatch.setattr(abelian, "smith_diagonal", recording)
     m = [[0, 3, 1], [2, 0, 0], [0, 0, 0], [0, 3, 1], [1, 1, 1], [2, 0, 0]]
     assert invariants_from_matrix(m, 3) == AbelianInvariants(0, (4,))
-    assert seen == [[[0, 3, 1], [2, 0, 0], [1, 1, 1]]]
+    assert len(seen) == 1 and seen[0] is m
+    assert m == [[0, 3, 1], [2, 0, 0], [0, 0, 0], [0, 3, 1], [1, 1, 1], [2, 0, 0]]
+
+
+def _reference_smith(matrix):
+    """smith_diagonal before the unit-pivot and mod-determinant phases: the
+    dense loop (least pivot in the trailing block, row and column clearing,
+    divisibility fix) over a copy of every row."""
+    a = [list(row) for row in matrix]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    diag = []
+    t = 0
+    while t < m and t < n:
+        piv = None
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = a[i][j]
+                if v and (best is None or abs(v) < best):
+                    best = abs(v)
+                    piv = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+        if pj != t:
+            for row in a:
+                row[t], row[pj] = row[pj], row[t]
+        if a[t][t] < 0:
+            a[t] = [-v for v in a[t]]
+        while True:
+            dirty = False
+            for i in range(t + 1, m):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    if q:
+                        a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
+                        a[t], a[i] = a[i], a[t]
+                        if a[t][t] < 0:
+                            a[t] = [-v for v in a[t]]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            for j in range(t + 1, n):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    if q:
+                        for row in a:
+                            row[j] -= q * row[t]
+                    if a[t][j]:
+                        for row in a:
+                            row[t], row[j] = row[j], row[t]
+                        if a[t][t] < 0:
+                            a[t] = [-v for v in a[t]]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            d = a[t][t]
+            offender = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if a[i][j] % d:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[offender])]
+        diag.append(a[t][t])
+        t += 1
+    return diag
+
+
+def _check_against_reference(matrix):
+    before = [list(row) for row in matrix]
+    assert smith_diagonal(matrix) == _reference_smith(matrix), matrix
+    assert matrix == before  # rows are read, never written
+
+
+def test_smith_diagonal_matches_reference_on_frozen_cases():
+    for case in frozen_cases():
+        _check_against_reference(case["matrix"])
+
+
+def test_a_pivot_above_the_modulus_is_kept():
+    # The first five rows fill the echelon (modulus 216, then 108); the unit
+    # row [0, 1] removes column 1 and sends both echelon rows back; [90] (the
+    # reduced [-18, -6]) alone fills the one-column echelon, lowering the
+    # modulus to gcd(108, 90) = 18 below that pivot; merging [18] against it
+    # gives the gcd 18, a pivot that reduced modulo 18 would be 0.
+    m = [[18, -6], [0, -12], [36, -6], [-36, 12], [36, 6], [-18, -6], [0, 1]]
+    m += [[3, 0], [18, 0], [0, 0], [3, 0], [3, 0], [0, 1]]
+    _check_against_reference(m)
+    assert smith_diagonal(m) == [1, 3]
+
+
+def test_the_rows_of_the_modulus_complete_the_lattice():
+    # The first seven rows fill the echelon and bring the modulus down to 9;
+    # the unit row [4, 0, -1] removes a column; the last merges leave an
+    # echelon of index 2 while the modulus falls to gcd(3, 2) = 1.  Only the
+    # rows 1 * e_i, given to the dense loop at the end, show that the
+    # quotient is trivial.
+    m = [[9, -6, 3], [-6, 3, 6], [-6, -3, -9], [-3, 0, 9], [9, -3, -9], [0, 0, -3]]
+    m += [[12, 4, -8], [4, 0, -1], [4, 4, -2], [6, 6, 9]]
+    _check_against_reference(m)
+    assert smith_diagonal(m) == [1, 1, 1]
+
+
+def _random_matrix(rng, rows, cols, entries, density=1.0):
+    return [
+        [rng.choice(entries) if rng.random() < density else 0 for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _combinations(rng, basis, rows, density=1.0):
+    """rows random integer combinations of the basis rows."""
+    out = []
+    for _ in range(rows):
+        coeffs = [rng.randint(-2, 2) if rng.random() < density else 0 for _ in basis]
+        out.append([sum(c * row[k] for c, row in zip(coeffs, basis)) for k in range(len(basis[0]))])
+    return out
+
+
+def _torsion_basis(rng, cols):
+    """A random unimodular change of basis of diag(1, ..., 1, d1, d2, d3)."""
+    diag = [1] * (cols - 3) + [rng.choice([2, 3]), 6, rng.choice([12, 30, 60])]
+    basis = [[diag[i] if i == j else 0 for j in range(cols)] for i in range(cols)]
+    for _ in range(4 * cols):
+        i, j = rng.sample(range(cols), 2)
+        c = rng.randint(-2, 2)
+        for row in basis:
+            row[i] += c * row[j]
+    return basis
+
+
+def _spanning(rng, basis, rows, density=1.0):
+    """The basis and combinations of it, shuffled: the basis's lattice."""
+    out = basis + _combinations(rng, basis, rows - len(basis), density)
+    rng.shuffle(out)
+    return out
+
+
+def _late_units(rng, cols):
+    """Rows of 2L first (all entries even: no unit, a full-rank echelon and a
+    modulus), then a basis of L, whose unit entries remove columns the
+    echelon already covers."""
+    basis = _torsion_basis(rng, cols)
+    doubled = [[2 * x for x in row] for row in _combinations(rng, basis, 3 * cols)]
+    return doubled + _spanning(rng, basis, cols + 2)
+
+
+RANDOM_KINDS = {
+    "late units": lambda rng: _late_units(rng, rng.randint(2, 7)),
+    "tall sparse": lambda rng: _spanning(rng, _torsion_basis(rng, 12), 80, 0.15),
+    "tall dense": lambda rng: _spanning(rng, _torsion_basis(rng, 8), 60),
+    "tall random": lambda rng: _random_matrix(rng, 40, 8, range(-4, 5)),
+    "full rank with torsion": lambda rng: _spanning(rng, _torsion_basis(rng, 5), 8),
+    "rank deficient": lambda rng: _combinations(
+        rng, _random_matrix(rng, 4, 9, [-4, -2, 0, 2, 3, 6]), 20
+    ),
+    "no unit entry": lambda rng: _random_matrix(rng, 7, 5, [-6, -4, -2, 0, 2, 4, 6, 9]),
+    "negative entries": lambda rng: _random_matrix(rng, 6, 5, range(-9, 0), 0.6),
+    "large common factor": lambda rng: [
+        [x * 2**40 * 3 for x in row] for row in _random_matrix(rng, 15, 5, range(-3, 4))
+    ],
+    "zero columns": lambda rng: [
+        [0 if j in (1, 4) else x for j, x in enumerate(row)]
+        for row in _spanning(rng, _torsion_basis(rng, 6), 20)
+    ],
+    "one row": lambda rng: _random_matrix(rng, 1, rng.randint(1, 8), range(-12, 13)),
+    "one column": lambda rng: _random_matrix(rng, rng.randint(1, 12), 1, range(-12, 13)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RANDOM_KINDS))
+def test_smith_diagonal_matches_reference_on_random_matrices(kind):
+    rng = random.Random(f"snf:{kind}")
+    for _ in range(25):
+        matrix = RANDOM_KINDS[kind](rng)
+        _check_against_reference(matrix)
+        # and on the same rows in another order, with repeats
+        shuffled = matrix + rng.sample(matrix, len(matrix) // 2)
+        rng.shuffle(shuffled)
+        assert smith_diagonal(shuffled) == _reference_smith(matrix)
+
+
+def test_smith_diagonal_matches_reference_on_criterion_5_matrices():
+    # the exponent-sum matrices of acceptance criterion 5: small-signature
+    # orbifold presentations with some powers of the elliptic generators
+    # killed, a seeded sample of them
+    rng = random.Random(5)
+    cases = []
+    for genus in (0, 1, 2):
+        for r in range(5):
+            for periods in itertools.combinations_with_replacement((2, 3, 4, 5, 6), r):
+                cases.append(Signature.of(genus, periods))
+    for sig in rng.sample(cases, 60):
+        base = orbifold_presentation(sig)
+        for _ in range(5):
+            kill = {
+                q: rng.sample(range(1, m + 1), rng.randint(0, 2))
+                for q, m in enumerate(sig.periods)
+            }
+            extra = [
+                Word(((2 * sig.genus + q, e),)) for q, exps in sorted(kill.items()) for e in exps
+            ]
+            p = quotient_presentation(base, extra)
+            _check_against_reference([r.exponent_sums(p.ngens) for r in p.relators])
+
+
+def _canonical_candidate_matrix():
+    """The relation rows of the Beauville job's index-25 canonical candidate
+    (the kernel of pi1 onto the acting group), as the verify search makes
+    them."""
+    res = build_pi1(parse_job(json.dumps(BEAUVILLE_JOB)).actions)
+    g = res.diagonal.group
+    quo, proj = quotient(g, normal_closure(g, {te.g for te in res.torsion}))
+    values = [proj.apply_idx(v) for v in res.psi]
+    table = fiber_product_table(res.presentation, quo, [values, ()], res.max_cosets)
+    return _translated_rows(res.presentation, table)
+
+
+def test_invariants_of_a_tall_matrix_hold_a_fraction_of_it():
+    rows, ngens = _canonical_candidate_matrix()
+    assert (len(rows), ngens) == (1725, 51)
+    size = sys.getsizeof(rows) + sum(sys.getsizeof(row) for row in rows)
+    tracemalloc.start()
+    try:
+        inv = invariants_from_matrix(rows, ngens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inv == AbelianInvariants(24)
+    assert peak < size / 4, (peak, size)

@@ -2,11 +2,14 @@
 
 import itertools
 import json
+import time
 
 import pytest
+from test_abelian import _reference_smith
 from test_rewrite import BEAUVILLE_JOB, _reference_rows
 
 import prodquot.product_quotient as pq
+from prodquot.abelian import smith_diagonal
 from prodquot.acceptance import _brute_force_torsion_count
 from prodquot.cli import bundled_job_names, load_bundled_job, parse_job
 from prodquot.coset import CosetOverflow, fiber_product_table, todd_coxeter
@@ -380,7 +383,62 @@ def test_kernel_invariants_match_rs_on_every_beauville_verify_kernel(monkeypatch
     assert [table.index for _, table, _ in met] == ([5] * 31 if bound == 8 else [25])
     for ambient, table, inv in met:
         assert inv == abelian_invariants(reidemeister_schreier(ambient, table).presentation)
-        assert _translated_rows(ambient, table) == _reference_rows(ambient, table)
+        rows = _translated_rows(ambient, table)
+        assert rows == _reference_rows(ambient, table)
+        assert smith_diagonal(rows[0]) == _reference_smith(rows[0])
+
+
+# A free (Z/3)^2 action whose verify search, with the canonical candidate
+# (index 9) set aside, finds the kernel onto cyclic(3), second in the catalogue.
+Z3XZ3_FREE_JOB = {
+    "schema": "prodquot-job/1",
+    "name": "classify-Z3xZ3-(1;3,3)x(1;3,3)-free-1",
+    "group": {"degree": 6, "generators": [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]]},
+    "actions": [
+        {
+            "projection": "identity",
+            "signature": {"genus": 1, "periods": [3, 3]},
+            "vector": {"a": ["1"], "b": ["g0*g1"], "c": ["g1", "g1^2"]},
+        },
+        {
+            "projection": "identity",
+            "signature": {"genus": 1, "periods": [3, 3]},
+            "vector": {"a": ["g1"], "b": ["1"], "c": ["g0^2*g1^2", "g0*g1"]},
+        },
+    ],
+    "outputs": ["verify"],
+}
+
+
+def test_quotient_catalogue_closes_each_group_only_when_tried(monkeypatch):
+    # at bound 200 the catalogue holds 653 groups; closing them all before
+    # the first try took over a second
+    res = build_pi1(parse_job(json.dumps(Z3XZ3_FREE_JOB)).actions)
+    closed, tried = [], []
+    for name in ("cyclic_group", "dihedral_group", "direct_product_group"):
+        original = getattr(pq, name)
+
+        def closing(*args, _original=original):
+            group = _original(*args)
+            closed.append(group)
+            return group
+
+        monkeypatch.setattr(pq, name, closing)
+    try_subgroup = pq._try_subgroup
+
+    def trying(res, desc, quo, values, seen):
+        if desc.startswith("acting group"):
+            return None
+        tried.append(quo)
+        return try_subgroup(res, desc, quo, values, seen)
+
+    monkeypatch.setattr(pq, "_try_subgroup", trying)
+    start = time.perf_counter()
+    ver = verify_from_pi1(res, 200)
+    assert time.perf_counter() - start < 1.0
+    assert (ver.status, ver.quotient, ver.index) == ("FOUND", "cyclic(3)", 3)
+    assert closed[-1] is tried[-1]
+    assert len(closed) == 2  # cyclic(2), which has no surjection, and cyclic(3)
 
 
 def _reference_surjections(p, quo):
