@@ -114,12 +114,21 @@ def quotient_presentation(p: Presentation, extra: Iterable[Word]) -> Presentatio
 
 
 # ---------------------------------------------------------------------------
-# Tietze simplification.  Internally relators live as lists of signed single
-# letters +-(gen+1), which makes substitution and overlap search direct.
+# Tietze simplification.  Inside ``tietze_simplify`` every relator, every
+# substitution image and every original generator's image is one ``str``, one
+# character per single letter: the signed letter c = +-(gen+1) is
+# chr(base + c), with base the generator count.  The code preserves order, so
+# comparing two strings compares their signed-letter sequences, as the final
+# (length, word) sort and the elimination ranking need.  Inversion is a
+# reversal and one ``translate``, substitution is ``replace`` then one
+# free-reduction pass, and a window of letters is a substring that
+# ``str.find`` can locate.
 
 _OVERLAP_MAX_RELATORS = 48
 _OVERLAP_MAX_LEN = 512
 _OVERLAP_RULE_MAX = 64
+# the largest code, chr(2 * ngens), must be a code point (at most 0x10FFFF)
+_TIETZE_MAX_GENS = 0x10FFFF // 2
 
 
 @dataclass(frozen=True)
@@ -129,81 +138,49 @@ class TietzeResult:
     steps_used: int
 
 
-def _reduce_letters(letters: list[int]) -> list[int]:
-    out: list[int] = []
-    for c in letters:
-        if out and out[-1] == -c:
-            out.pop()
-        else:
-            out.append(c)
-    return out
+class _Code:
+    """The one-character code of the signed letters over ``ngens`` generators:
+    c = +-(gen+1) is chr(ngens + c), so codes run from 0 to 2 * ngens in the
+    order of the signed letters.  The tables cover every code, which keeps
+    ``translate`` off its slow path for missing keys."""
 
+    __slots__ = ("base", "inverse_char", "flip", "fold")
 
-def _cyclic_reduce(letters: list[int]) -> list[int]:
-    w = _reduce_letters(letters)
-    while len(w) > 1 and w[0] == -w[-1]:
-        w = w[1:-1]
-    return w
+    def __init__(self, ngens: int) -> None:
+        if ngens > _TIETZE_MAX_GENS:
+            raise ValueError(
+                f"Tietze simplification handles at most {_TIETZE_MAX_GENS} "
+                f"generators (one code point per signed letter), got {ngens}"
+            )
+        base = self.base = ngens
+        codes = range(2 * base + 1)
+        self.inverse_char = {chr(x): chr(2 * base - x) for x in codes}
+        self.flip = str.maketrans(self.inverse_char)  # each letter -> its inverse
+        self.fold = {x: base + abs(x - base) for x in codes}  # g^-1 -> g
 
+    def encode(self, word: Word) -> str:
+        return "".join([chr(self.base + c) for c in signed_letters(word)])
 
-def _inv_letters(letters: Sequence[int]) -> list[int]:
-    return [-c for c in reversed(letters)]
+    def decode(self, s: str) -> Word:
+        return word_from_letters([ord(ch) - self.base for ch in s])
 
+    def inverse(self, s: str) -> str:
+        return s[::-1].translate(self.flip)
 
-def _least_rotation(s: Sequence[int]) -> tuple[int, ...]:
-    """Lexicographically least rotation (Booth's algorithm, O(n))."""
-    n = len(s)
-    doubled = list(s) + list(s)
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = doubled[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != doubled[k + i + 1]:
-            if sj < doubled[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != doubled[k + i + 1]:
-            if sj < doubled[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return tuple(doubled[k : k + n])
-
-
-def _canonical_cyclic(letters: Sequence[int]) -> tuple[int, ...]:
-    if not letters:
-        return ()
-    return min(_least_rotation(letters), _least_rotation(_inv_letters(letters)))
-
-
-def _substitute(letters: list[int], gen: int, image: list[int]) -> list[int]:
-    """Replace letter +-(gen+1) by image / its inverse, then reduce."""
-    out: list[int] = []
-    target = gen + 1
-    inv_image = _inv_letters(image)
-    for c in letters:
-        if c == target:
-            out.extend(image)
-        elif c == -target:
-            out.extend(inv_image)
-        else:
-            out.append(c)
-    return _reduce_letters(out)
-
-
-def _letters_text(letters: Sequence[int]) -> str:
-    """One character per signed letter (+g -> 2g-1, -g -> 2g), so that a
-    window of letters is a substring that ``str.find`` can locate."""
-    return "".join([chr(2 * c - 1) if c > 0 else chr(-2 * c) for c in letters])
-
-
-def _overlap_heads(rule: list[int], text: str, half: int) -> list[str]:
-    """Encoded length-``half`` heads of the rule's variants in scan order:
-    rotation 0, inverse rotation 0, rotation 1, inverse rotation 1, ..."""
-    doubles = (text * 2, _letters_text(_inv_letters(rule)) * 2)
-    return [d[s : s + half] for s in range(len(rule)) for d in doubles]
+    def reduce(self, s: str, cyclic: bool = True) -> str:
+        """Free reduction, then (by default) cyclic reduction."""
+        inverse_char = self.inverse_char
+        out: list[str] = []
+        for ch in s:
+            if out and out[-1] == inverse_char[ch]:
+                out.pop()
+            else:
+                out.append(ch)
+        i, j = 0, len(out) - 1
+        while cyclic and i < j and out[i] == inverse_char[out[j]]:
+            i += 1
+            j -= 1
+        return "".join(out[i : j + 1])
 
 
 class _Relator:
@@ -212,20 +189,32 @@ class _Relator:
     record, with a new stamp (unique within one simplification) and no
     misses."""
 
-    __slots__ = ("letters", "key", "gens", "once", "text", "stamp", "misses")
+    __slots__ = ("word", "key", "gens", "once", "stamp", "misses")
 
-    def __init__(self, letters: list[int], stamp: int) -> None:
-        self.letters = letters
-        self.key = _canonical_cyclic(letters)
-        counts: dict[int, int] = {}  # generator -> occurrences
-        for c in letters:
-            g = abs(c) - 1
-            counts[g] = counts.get(g, 0) + 1
-        # kept as a set: keeping the dict raised bench_tietze's traced peaks ~1%
-        self.gens = set(counts)
+    def __init__(self, word: str, stamp: int, code: _Code) -> None:
+        self.word = word
+        # generators, each coded as its positive letter
+        folded = word.translate(code.fold)
+        gens = self.gens = set(folded)
+        # canonical cyclic key: the least rotation of the word or of its
+        # inverse, which starts with the least letter of the two, the inverse
+        # of the largest generator
+        key = word
+        if word:
+            n = len(word)
+            least = code.inverse_char[max(gens)]
+            for w in (word, code.inverse(word)):
+                doubled = w + w
+                i = w.find(least)
+                while i >= 0:
+                    rotation = doubled[i : i + n]
+                    if rotation < key:
+                        key = rotation
+                    i = w.find(least, i + 1)
+        self.key = key
         # least generator occurring exactly once, if any
-        self.once = min((g for g, k in counts.items() if k == 1), default=None)
-        self.text: Optional[str] = None  # ``_letters_text``, made on demand
+        once = [g for g in gens if folded.count(g) == 1]
+        self.once = min(once) if once else None
         self.stamp = stamp
         # stamps of the rules known to give this relator no overlap hit
         self.misses: Optional[set[int]] = None
@@ -233,17 +222,14 @@ class _Relator:
 
 def _dedup(rels: list[_Relator]) -> list[_Relator]:
     """The first record of each nonempty canonical key, in order."""
-    seen: set[tuple[int, ...]] = set()
+    seen: set[str] = set()
     return [r for r in rels if r.key and not (r.key in seen or seen.add(r.key))]
 
 
-def _find_overlap(rels: list[_Relator]) -> Optional[tuple[int, list[int]]]:
-    """The first overlap hit, as its target position and rewritten letters."""
-    for r in rels:
-        if r.text is None:
-            r.text = _letters_text(r.letters)
+def _find_overlap(rels: list[_Relator], code: _Code) -> Optional[tuple[int, str]]:
+    """The first overlap hit, as its target position and rewritten word."""
     for i, rec in enumerate(rels):
-        rule = rec.letters
+        rule = rec.word
         ell = len(rule)
         if ell < 2 or ell > _OVERLAP_RULE_MAX:
             continue
@@ -251,22 +237,23 @@ def _find_overlap(rels: list[_Relator]) -> Optional[tuple[int, list[int]]]:
         stamp = rec.stamp
         heads = None
         for j, target in enumerate(rels):
-            text = target.text
-            if j == i or not half <= len(text) <= _OVERLAP_MAX_LEN:
+            word = target.word
+            if j == i or not half <= len(word) <= _OVERLAP_MAX_LEN:
                 continue
             known = target.misses
             if known is not None and stamp in known:
                 continue
             if heads is None:
-                heads = _overlap_heads(rule, rec.text, half)
+                # variants in scan order: rotation 0, inverse rotation 0,
+                # rotation 1, inverse rotation 1, ...
+                doubles = (rule * 2, code.inverse(rule) * 2)
+                heads = [d[s : s + half] for s in range(ell) for d in doubles]
             for v, head in enumerate(heads):
-                s = text.find(head)
+                s = word.find(head)
                 if s >= 0:
-                    base = _inv_letters(rule) if v % 2 else rule
-                    tail = (base[v // 2 :] + base[: v // 2])[half:]
-                    letters = target.letters
-                    newrel = letters[:s] + _inv_letters(tail) + letters[s + half :]
-                    return j, _cyclic_reduce(newrel)
+                    r = v // 2
+                    tail = doubles[v % 2][r + half : r + ell]
+                    return j, code.reduce(word[:s] + code.inverse(tail) + word[s + half :])
             if known is None:
                 known = target.misses = set()
             known.add(stamp)
@@ -279,33 +266,36 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
     Moves: free/cyclic reduction, duplicate and trivial relator removal,
     elimination of a generator that occurs exactly once in some relator, and
     substitution of long relator overlaps.  Deterministic; the overlap phase
-    is skipped for oversized presentations (fixed thresholds).
+    is skipped for oversized presentations (fixed thresholds).  Raises
+    ``ValueError``, before any work, above ``_TIETZE_MAX_GENS`` (557 055)
+    generators, where the letter code runs out of code points.
 
-    Relators live in one list of ``_Relator`` records, each holding its
-    canonical cyclic key (for duplicate removal, which keeps the first),
-    its generator set and least once-occurring generator (for
-    elimination, ranked by length, position, generator), and its overlap
-    scan state.  A changed relator is a new record.
+    Every word is held as one string in the code of ``_Code``.  The code
+    preserves order, so comparing two strings compares their signed letters
+    +-(gen+1) as lists: the elimination ranking and the final (length, word)
+    sort of the relators are those of the signed-letter form.  Relators live
+    in one list of ``_Relator`` records, each holding its canonical cyclic
+    key (for duplicate removal, which keeps the first), its generator set
+    and least once-occurring generator (for elimination, ranked by length,
+    position, generator), and its overlap scan state.  A changed relator is
+    a new record.
 
     The overlap phase takes the first hit in rule -> target -> variant ->
     position order, where a variant is a rotation of the rule or of its
     inverse and its first ``len // 2 + 1`` letters (the head) are replaced by
-    the inverse of the rest.  Relators are encoded one character per letter,
-    so a head's first position in a target is one ``str.find``.  Each record
-    carries an integer stamp, and each target remembers the rule stamps that
-    gave it no hit: a pair's outcome depends only on the two relators'
-    letters, so it is searched again only after one of them changed, and the
-    hits stay in order.
+    the inverse of the rest.  A head's first position in a target is one
+    ``str.find``.  Each record carries an integer stamp, and each target
+    remembers the rule stamps that gave it no hit: a pair's outcome depends
+    only on the two relators' letters, so it is searched again only after
+    one of them changed, and the hits stay in order.
     """
+    code = _Code(p.ngens)
     new_stamp = itertools.count().__next__
-    rels = _dedup(
-        [_Relator(_cyclic_reduce(signed_letters(r)), new_stamp()) for r in p.relators]
-    )
-    names = list(p.gens)
-    # original generator -> letters over current generators
-    old_to_new: list[list[int]] = [[g + 1] for g in range(p.ngens)]
+    rels = _dedup([_Relator(code.reduce(code.encode(r)), new_stamp(), code) for r in p.relators])
+    # original generator -> word over current generators
+    old_to_new = [chr(code.base + g + 1) for g in range(p.ngens)]
     steps = 0
-    # dead generators keep their numbers until the final compaction so that
+    # dead generators keep their letters until the final renumbering so that
     # untouched relators keep their records
     alive = [True] * p.ngens
     changed = True
@@ -313,60 +303,62 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
         changed = False
         # generator elimination: prefer the shortest defining relator
         best = min(
-            ((len(r.letters), ri, r.once) for ri, r in enumerate(rels) if r.once is not None),
+            ((len(r.word), ri, r.once) for ri, r in enumerate(rels) if r.once is not None),
             default=None,
         )
         if best is not None:
             _, ri, gen = best
-            rel = rels.pop(ri).letters
-            pos = next(i for i, c in enumerate(rel) if abs(c) - 1 == gen)
-            rest = rel[pos + 1 :] + rel[:pos]
-            image = _inv_letters(rest) if rel[pos] > 0 else list(rest)
+            rel = rels.pop(ri).word
+            gen_inv = code.inverse_char[gen]
+            pos = rel.find(gen)
+            if pos >= 0:
+                image = code.inverse(rel[pos + 1 :] + rel[:pos])
+            else:
+                pos = rel.find(gen_inv)
+                image = rel[pos + 1 :] + rel[:pos]
+            image_inv = code.inverse(image)
+
+            def substitute(w: str, cyclic: bool = True) -> str:
+                return code.reduce(w.replace(gen, image).replace(gen_inv, image_inv), cyclic)
+
             rels = _dedup(
                 [
-                    _Relator(_cyclic_reduce(_substitute(r.letters, gen, image)), new_stamp())
-                    if gen in r.gens
-                    else r
+                    _Relator(substitute(r.word), new_stamp(), code) if gen in r.gens else r
                     for r in rels
                 ]
             )
-            target = gen + 1
             for i, w in enumerate(old_to_new):
-                if any(c == target or c == -target for c in w):
-                    old_to_new[i] = _substitute(w, gen, image)
-            alive[gen] = False
+                if gen in w or gen_inv in w:
+                    old_to_new[i] = substitute(w, cyclic=False)
+            alive[ord(gen) - code.base - 1] = False
             steps += 1
             changed = True
             continue
         # overlap substitution, gated by size
         if len(rels) <= _OVERLAP_MAX_RELATORS:
-            hit = _find_overlap(rels)
+            hit = _find_overlap(rels, code)
             if hit is not None:
                 # The result is always shorter: a rule of length l trades
                 # l // 2 + 1 letters for l - (l // 2 + 1) and reduction only cuts.
                 # An empty result is dropped with the duplicates.
                 j, newrel = hit
-                rels[j] = _Relator(newrel, new_stamp())
+                rels[j] = _Relator(newrel, new_stamp(), code)
                 steps += 1
                 rels = _dedup(rels)
                 changed = True
 
-    # compact the numbering to the surviving generators
-    rank = [0] * p.ngens
+    # renumber the surviving generators 0, 1, ...; the map preserves order
+    base = code.base
+    renumber: dict[int, int] = {}
     kept_names = []
     for g, keep in enumerate(alive):
-        rank[g] = len(kept_names)
         if keep:
-            kept_names.append(names[g])
-
-    def compact(letters: list[int]) -> list[int]:
-        return [(rank[abs(c) - 1] + 1) * (1 if c > 0 else -1) for c in letters]
-
-    work = [compact(r.letters) for r in rels]
-    old_to_new = [compact(w) for w in old_to_new]
-    work.sort(key=lambda w: (len(w), w))
-    out = Presentation(tuple(kept_names), tuple(word_from_letters(w) for w in work))
-    mapping = tuple(word_from_letters(w) for w in old_to_new)
+            kept_names.append(p.gens[g])
+            renumber[base + g + 1] = base + len(kept_names)
+            renumber[base - g - 1] = base - len(kept_names)
+    work = sorted((r.word.translate(renumber) for r in rels), key=lambda w: (len(w), w))
+    out = Presentation(tuple(kept_names), tuple(code.decode(w) for w in work))
+    mapping = tuple(code.decode(w.translate(renumber)) for w in old_to_new)
     return TietzeResult(out, mapping, steps)
 
 

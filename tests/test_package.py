@@ -79,3 +79,18 @@ def test_every_definition_is_used():
                 if name not in named and qual not in UNUSED_ALLOWED
             ]
     assert not unused
+
+
+def test_every_data_file_is_package_data():
+    """A built install ships every file under ``prodquot/data`` (selftest
+    reads ``data/snf_cases.json``, ``run --bundled`` the jobs)."""
+    import tomllib
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "prodquot"
+    with open(root / "pyproject.toml", "rb") as fh:
+        globs = tomllib.load(fh)["tool"]["setuptools"]["package-data"]["prodquot"]
+    shipped = {path for pattern in globs for path in package.glob(pattern)}
+    data = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert data and not data - shipped

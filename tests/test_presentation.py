@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 import time
-from typing import Optional
+from typing import Optional, Sequence
 
 import pytest
 
@@ -18,10 +18,8 @@ from prodquot.presentation import (
     _OVERLAP_MAX_LEN,
     _OVERLAP_MAX_RELATORS,
     _OVERLAP_RULE_MAX,
-    _canonical_cyclic,
-    _cyclic_reduce,
-    _inv_letters,
-    _substitute,
+    _TIETZE_MAX_GENS,
+    _Code,
     abelian_invariants,
     direct_product_presentation,
     presentation,
@@ -184,11 +182,113 @@ def test_transport_word():
     assert transport_word(untouched, identity_map) == untouched
 
 
+@pytest.mark.parametrize("ngens,width", [(3, 1), (200, 2), (40000, 4)])
+def test_tietze_code_round_trips_and_preserves_order(ngens, width):
+    # ``width``: bytes per character of the widest code, 2 * ngens; 40000
+    # generators also run through the surrogate range
+    rng = random.Random(ngens)
+    code = _Code(ngens)
+    words = [
+        word_from_letters(
+            [rng.choice((1, -1)) * rng.randint(1, ngens) for _ in range(rng.randint(0, 12))]
+        )
+        for _ in range(400)
+    ] + [
+        Word(((0, 1),)),
+        Word(((0, -1),)),
+        Word(((ngens - 1, 1),)),
+        Word(((ngens - 1, -1),)),
+    ]
+    texts = [code.encode(w) for w in words]
+    assert [code.decode(t) for t in texts] == words
+    assert [len(t) for t in texts] == [len(w) for w in words]
+    letters = [signed_letters(w) for w in words]
+    assert sorted(texts) == [code.encode(word_from_letters(s)) for s in sorted(letters)]
+    widest = max(map(ord, "".join(texts)))
+    assert widest == 2 * ngens
+    assert (1 if widest <= 0xFF else 2 if widest <= 0xFFFF else 4) == width
+    assert [code.inverse(t) for t in texts] == [code.encode(w.inverse()) for w in words]
+
+
+def test_tietze_rejects_too_many_generators_up_front():
+    assert chr(2 * _TIETZE_MAX_GENS) and _TIETZE_MAX_GENS == 557055
+    with pytest.raises(ValueError):
+        chr(2 * (_TIETZE_MAX_GENS + 1))
+    p = Presentation(tuple(f"x{i}" for i in range(_TIETZE_MAX_GENS + 1)))
+    with pytest.raises(ValueError, match=f"at most {_TIETZE_MAX_GENS} generators"):
+        tietze_simplify(p)
+
+
 # ---------------------------------------------------------------------------
 # The overlap phase against its rescanning form.  The reference below is
 # tietze_simplify as it was before the miss memo and the str.find scan: after
 # every hit it scans all (rule, target, variant, position) quadruples again
-# from the start, comparing slices letter by letter.
+# from the start, comparing slices letter by letter.  It keeps relators as
+# lists of signed letters +-(gen+1), through helpers of its own.
+
+
+def _reduce_letters(letters: list[int]) -> list[int]:
+    out: list[int] = []
+    for c in letters:
+        if out and out[-1] == -c:
+            out.pop()
+        else:
+            out.append(c)
+    return out
+
+
+def _cyclic_reduce(letters: list[int]) -> list[int]:
+    w = _reduce_letters(letters)
+    while len(w) > 1 and w[0] == -w[-1]:
+        w = w[1:-1]
+    return w
+
+
+def _inv_letters(letters: Sequence[int]) -> list[int]:
+    return [-c for c in reversed(letters)]
+
+
+def _least_rotation(s: Sequence[int]) -> tuple[int, ...]:
+    """Lexicographically least rotation (Booth's algorithm, O(n))."""
+    n = len(s)
+    doubled = list(s) + list(s)
+    f = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = doubled[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != doubled[k + i + 1]:
+            if sj < doubled[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != doubled[k + i + 1]:
+            if sj < doubled[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return tuple(doubled[k : k + n])
+
+
+def _canonical_cyclic(letters: Sequence[int]) -> tuple[int, ...]:
+    if not letters:
+        return ()
+    return min(_least_rotation(letters), _least_rotation(_inv_letters(letters)))
+
+
+def _substitute(letters: list[int], gen: int, image: list[int]) -> list[int]:
+    """Replace letter +-(gen+1) by image / its inverse, then reduce."""
+    out: list[int] = []
+    target = gen + 1
+    inv_image = _inv_letters(image)
+    for c in letters:
+        if c == target:
+            out.extend(image)
+        elif c == -target:
+            out.extend(inv_image)
+        else:
+            out.append(c)
+    return _reduce_letters(out)
 
 
 def _reference_tietze(p: Presentation, budget: int = 10000) -> TietzeResult:
