@@ -81,7 +81,10 @@ def _alarm(signum, frame):
 
 
 def run_once(name: str, trace: bool, limit: float) -> dict:
-    """One run of one job in this interpreter; "s" is None past the limit."""
+    """One run of one job in this interpreter; "s" is None past the limit.
+    The collector runs first, so the traced peak does not depend on how much
+    garbage the imports left behind."""
+    import gc
     import tracemalloc
 
     from prodquot.cli import parse_job, render_report, run_job
@@ -91,6 +94,7 @@ def run_once(name: str, trace: bool, limit: float) -> dict:
     if limit:
         signal.setitimer(signal.ITIMER_REAL, limit)
     if trace:
+        gc.collect()
         tracemalloc.start()
     start = time.perf_counter()
     try:

@@ -431,14 +431,15 @@ def _enumerate_doc(actions: Sequence[CurveAction]) -> list[dict]:
     for action in actions:
         h = action.acting_group
         vectors = enumerate_generating_vectors(h, action.vector.genus, action.vector.periods)
+        names = [_element_word(h, e) for e in range(h.order)]
         docs.append(
             {
                 "count": len(vectors),
                 "vectors": [
                     {
-                        "a": [_element_word(h, e) for e in v.a_images],
-                        "b": [_element_word(h, e) for e in v.b_images],
-                        "c": [_element_word(h, e) for e in v.c_images],
+                        "a": [names[e] for e in v.a_images],
+                        "b": [names[e] for e in v.b_images],
+                        "c": [names[e] for e in v.c_images],
                     }
                     for v in vectors
                 ],

@@ -5,11 +5,13 @@ b_g, c_1, ..., c_r, the power relators c_i^{m_i}, and one long relator
 [a_1,b_1]...[a_g,b_g] c_1 ... c_r.  A generating vector is a surjection onto
 a finite group under which every c_i image has order exactly m_i; vectors
 remember the period order they were written in, while Signature is canonical
-(periods sorted ascending).
+(periods sorted ascending).  ``enumerate_generating_vectors`` lists them in
+a fixed order, stated in its docstring, which reports print as it is.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
@@ -183,11 +185,8 @@ def validate_generating_vector(v: GeneratingVector) -> Optional[VectorViolation]
                 "order", i, f"c{i + 1} has order {got}, period demands {m}"
             )
     acc = 0
-    for a, b in zip(v.a_images, v.b_images):
-        comm = h.mul_idx(h.mul_idx(h.mul_idx(a, b), h.inv_idx(a)), h.inv_idx(b))
-        acc = h.mul_idx(acc, comm)
-    for c in v.c_images:
-        acc = h.mul_idx(acc, c)
+    for x in (*map(h.commutator, v.a_images, v.b_images), *v.c_images):
+        acc = h.mul_idx(acc, x)
     if acc != 0:
         return VectorViolation(
             "relation", None, f"long relation evaluates to element {acc}, not identity"
@@ -203,77 +202,56 @@ def validate_generating_vector(v: GeneratingVector) -> Optional[VectorViolation]
 def enumerate_generating_vectors(
     h: FiniteGroup, genus: int, periods: Sequence[int]
 ) -> list[GeneratingVector]:
-    """All generating vectors for the given data, in deterministic order.
+    """All generating vectors for the given data, in a fixed order.
 
-    Depth-first over c images (filtered by exact element order, the last one
-    solved from the long relation when genus is 0), then over a/b images with
-    the last pair filtered by the required commutator value.
+    The order is part of the contract (``enumerate`` reports print it): c
+    images vary slowest, in ``itertools.product`` order over the elements of
+    each exact order by ascending index, the last c solved from the long
+    relation when the genus is 0; then a1, b1, ..., ag, bg, also in product
+    order.  The last (a, b) pair is read from the commutator table, bucketed
+    by value once per call; the vectors kept are those that generate h.
     """
     if h.order > ENUMERATION_MAX_ORDER:
         raise GroupTooLarge(f"vector enumeration capped at order {ENUMERATION_MAX_ORDER}")
     periods = tuple(periods)
-    by_order: dict[int, list[int]] = {}
-    for m in set(periods):
-        by_order[m] = [e for e in range(h.order) if h.element_order(e) == m]
-        if not by_order[m]:
-            return []
+    n = h.order
+    orders = [h.element_order(e) for e in range(n)]
+    pools = [[e for e in range(n) if orders[e] == m] for m in periods]
+    if not all(pools):
+        return []
+    mul = h.cayley_table()
+    solve_last = genus == 0 and bool(periods)
+    # last_pairs[v]: the pairs (a, b) with [a, b] == v, in product order; at
+    # genus 0 the one empty "pair" is an empty product of commutators
+    comm: list[list[int]] = []
+    last_pairs: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    if genus:
+        comm = [[h.commutator(a, b) for b in range(n)] for a in range(n)]
+        for a, b in itertools.product(range(n), repeat=2):
+            last_pairs[comm[a][b]].append((a, b))
+    else:
+        last_pairs[0].append(())
     results: list[GeneratingVector] = []
-    r = len(periods)
-
-    def commutator(a: int, b: int) -> int:
-        return h.mul_idx(h.mul_idx(h.mul_idx(a, b), h.inv_idx(a)), h.inv_idx(b))
-
-    def finish(cs: tuple[int, ...], abs_: tuple[int, ...]) -> None:
-        a_imgs = abs_[0::2]
-        b_imgs = abs_[1::2]
-        if len(h.generated((*a_imgs, *b_imgs, *cs))) != h.order:
-            return
-        results.append(
-            GeneratingVector(h, genus, periods, a_imgs, b_imgs, cs)
-        )
-
-    def extend_ab(cs: tuple[int, ...]) -> None:
-        # need prod of commutators == inverse of c product
-        inv_cprod = 0
+    for cs in itertools.product(*(pools[:-1] if solve_last else pools)):
+        prod = 0
         for c in cs:
-            inv_cprod = h.mul_idx(inv_cprod, c)
-        needed = h.inv_idx(inv_cprod)
-        if genus == 0:
-            if needed == 0:
-                finish(cs, ())
-            return
-
-        def rec(depth: int, acc: int, chosen: tuple[int, ...]) -> None:
-            if depth == genus - 1:
-                want = h.mul_idx(h.inv_idx(acc), needed)
-                for a in range(h.order):
-                    for b in range(h.order):
-                        if commutator(a, b) == want:
-                            finish(cs, chosen + (a, b))
-                return
-            for a in range(h.order):
-                for b in range(h.order):
-                    rec(depth + 1, h.mul_idx(acc, commutator(a, b)), chosen + (a, b))
-
-        rec(0, 0, ())
-
-    def rec_c(i: int, chosen: tuple[int, ...]) -> None:
-        if genus == 0 and r and i == r - 1:
-            # last c image is forced by the long relation
-            prod = 0
-            for c in chosen:
-                prod = h.mul_idx(prod, c)
-            last = h.inv_idx(prod)
-            if h.element_order(last) == periods[-1]:
-                extend_ab(chosen + (last,))
-            return
-        if i == r:
-            extend_ab(chosen)
-            return
-        for c in by_order[periods[i]]:
-            rec_c(i + 1, chosen + (c,))
-
-    rec_c(0, ())
+            prod = mul[prod][c]
+        needed = h.inv_idx(prod)  # what the product of the commutators must equal
+        if solve_last:
+            if orders[needed] != periods[-1]:
+                continue
+            cs += (needed,)
+            needed = 0
+        for lead in itertools.product(range(n), repeat=max(2 * genus - 2, 0)):
+            acc = 0
+            for i in range(0, len(lead), 2):
+                acc = mul[acc][comm[lead[i]][lead[i + 1]]]
+            for last in last_pairs[mul[h.inv_idx(acc)][needed]]:
+                abs_ = lead + last
+                if len(h.generated((*abs_, *cs))) == n:
+                    results.append(
+                        GeneratingVector(h, genus, periods, abs_[0::2], abs_[1::2], cs)
+                    )
     return results
 
 

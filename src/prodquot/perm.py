@@ -4,8 +4,10 @@ Elements are stored in the order a breadth-first closure from the generators
 discovers them (identity first, then right-multiplications in generator
 order), and every "least element" tie-break in the package refers to this
 index.  Closure raises GroupTooLarge past MAX_ORDER elements, so the Cayley
-table that index arithmetic goes through (built on first use) has at most
-10**6 entries, and every homomorphism can be checked on all pairs.  A
+table (built on first use) has at most 10**6 entries, and every homomorphism
+can be checked on all pairs.  All element arithmetic -- products, inverses,
+commutators, powers and orders -- is read off that table; ``Permutation``
+arithmetic runs only while closing the group and building the table.  A
 subgroup is the sorted list of its element indices (``normal_closure``,
 ``centralizer``, a hom's ``kernel_indices``), and ``quotient`` takes one.
 Groups are immutable once built (the table is a cache of fixed content) and
@@ -109,6 +111,7 @@ class FiniteGroup:
                     gen_of.append(g_idx)
         self.elements = tuple(map(Permutation, images))
         self._index = index
+        self.gen_indices = tuple(index[g] for g in gen_images)
         self._parent_of = parent_of
         self._gen_of = gen_of
         self._inverse: Optional[list[int]] = None
@@ -172,15 +175,29 @@ class FiniteGroup:
 
     def inv_idx(self, a: int) -> int:
         if self._inverse is None:
-            self._inverse = [self.element_index(e.inverse()) for e in self.elements]
+            self._inverse = [row.index(0) for row in self.cayley_table()]
         return self._inverse[a]
 
     def conj_idx(self, h: int, a: int) -> int:
         """h a h^-1 by element indices."""
         return self.mul_idx(self.mul_idx(h, a), self.inv_idx(h))
 
+    def commutator(self, a: int, b: int) -> int:
+        """a b a^-1 b^-1 by element indices."""
+        return self.mul_idx(self.conj_idx(a, b), self.inv_idx(b))
+
+    def powers(self, a: int) -> tuple[int, ...]:
+        """The cyclic subgroup of a in order: (1, a, a^2, ..., a^(k-1))."""
+        table = self.cayley_table()
+        out = [0]
+        x = a
+        while x:
+            out.append(x)
+            x = table[x][a]
+        return tuple(out)
+
     def element_order(self, a: int) -> int:
-        return self.elements[a].order()
+        return len(self.powers(a))
 
     def element_word(self, a: int) -> list[int]:
         """Generator indices whose left-to-right product is element a."""
@@ -195,8 +212,7 @@ class FiniteGroup:
         seen = {a}
         queue = [a]
         for x in queue:
-            for g in range(len(self.generators)):
-                gi = self.element_index(self.generators[g])
+            for gi in self.gen_indices:
                 y = self.conj_idx(gi, x)
                 if y not in seen:
                     seen.add(y)
@@ -260,12 +276,11 @@ class GroupHom:
         n = source.order
         src_mul = source.cayley_table()
         dst_mul = target.cayley_table()
+        # one step along the closure's word chain per element
+        parent_of, gen_of = source._parent_of, source._gen_of
         table = [0] * n
-        for a in range(n):
-            acc = 0
-            for g in source.element_word(a):
-                acc = dst_mul[acc][gen_images[g]]
-            table[a] = acc
+        for a in range(1, n):
+            table[a] = dst_mul[table[parent_of[a]]][gen_images[gen_of[a]]]
         self._table = table
         for a in range(n):
             src_row = src_mul[a]
@@ -287,7 +302,7 @@ class GroupHom:
 
 
 def identity_hom(g: FiniteGroup) -> GroupHom:
-    return GroupHom(g, g, [g.element_index(p) for p in g.generators])
+    return GroupHom(g, g, g.gen_indices)
 
 
 def trivial_hom(g: FiniteGroup) -> GroupHom:
@@ -315,8 +330,7 @@ def quotient(g: FiniteGroup, normal: Iterable[int]) -> tuple[FiniteGroup, GroupH
     n_set = set(n_idx)
     if 0 not in n_set or any(g.mul_idx(a, b) not in n_set for a in n_idx for b in n_idx):
         raise ValueError("element set is not closed under the group operations")
-    for gen in g.generators:
-        gi = g.element_index(gen)
+    for gi in g.gen_indices:
         for a in n_idx:
             if g.conj_idx(gi, a) not in n_set:
                 raise ValueError("subgroup is not normal")
@@ -329,12 +343,12 @@ def quotient(g: FiniteGroup, normal: Iterable[int]) -> tuple[FiniteGroup, GroupH
             for a in n_idx:
                 coset_of[g.mul_idx(e, a)] = cid
     k = len(reps)
-    images = []
-    for gen in g.generators:
-        gi = g.element_index(gen)
-        images.append(Permutation(tuple(coset_of[g.mul_idx(gi, reps[c])] for c in range(k))))
+    images = [
+        Permutation(tuple(coset_of[g.mul_idx(gi, reps[c])] for c in range(k)))
+        for gi in g.gen_indices
+    ]
     q = FiniteGroup(images, degree=k) if images else trivial_group(max(k, 1))
-    proj = GroupHom(g, q, [q.element_index(p) for p in images])
+    proj = GroupHom(g, q, q.gen_indices)
     if g.order != len(n_idx) * q.order:
         raise AssertionError("quotient order mismatch")
     return q, proj

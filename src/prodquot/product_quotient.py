@@ -123,12 +123,6 @@ def build_curve_action(
     genus = riemann_hurwitz_genus(vector.target.order, vector.signature)
     h = vector.target
     section = bfs_section(h, vector.gen_images())
-    powers = []
-    for d, m in zip(vector.c_images, vector.periods):
-        row = [0]
-        for _ in range(1, m):
-            row.append(h.mul_idx(row[-1], d))
-        powers.append(tuple(row))
     return CurveAction(
         group,
         projection,
@@ -136,7 +130,7 @@ def build_curve_action(
         genus,
         tuple(projection.kernel_indices()),
         section,
-        tuple(powers),
+        tuple(map(h.powers, vector.c_images)),
     )
 
 
@@ -184,7 +178,7 @@ def lift_group(
     k = gpres.ngens
     ambient = direct_product_presentation([gpres, tpres])
     phi = action.vector.gen_images()
-    p_images = [action.p_of(g.element_index(perm)) for perm in g.generators]
+    p_images = [action.p_of(e) for e in g.gen_indices]
     table = fiber_product_table(ambient, h, [p_images, phi], max_cosets)
     if len(action.kernel_indices) == 1:
         # faithful projection: (g, t) <-> t is an isomorphism with the
@@ -205,7 +199,7 @@ def lift_group(
             bfs_section(g, psi),
         )
     sub = reidemeister_schreier(ambient, table, prefix="s")
-    gen_values = [g.element_index(p) for p in g.generators] + [0] * tpres.ngens
+    gen_values = list(g.gen_indices) + [0] * tpres.ngens
     raw_psi = [evaluate_word(w, gen_values, g) for w in sub.expansions]
     tz = tietze_simplify(sub.presentation, tietze_steps)
     positions = {name: i for i, name in enumerate(sub.presentation.gens)}

@@ -237,8 +237,7 @@ def finite_group_presentation(group) -> Presentation:
     from .presentation import tietze_simplify
 
     k = len(group.generators)
-    gen_idx = [group.element_index(g) for g in group.generators]
-    relators = tuple(dict.fromkeys(kernel_subgroup_words(gen_idx, group)))
+    relators = tuple(dict.fromkeys(kernel_subgroup_words(group.gen_indices, group)))
     pres = Presentation(tuple(f"g{i}" for i in range(k)), relators)
     simplified = tietze_simplify(pres).presentation
     if simplified.ngens != k:

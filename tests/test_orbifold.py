@@ -1,13 +1,17 @@
 """Tests for orbifold signatures, generating vectors, and quotient signatures."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
+from prodquot.cli import bundled_job_names, load_bundled_job
 from prodquot.coset import CosetOverflow, todd_coxeter
 from prodquot.orbifold import (
+    ENUMERATION_MAX_ORDER,
     GeneratingVector,
     NegativeGenus,
     NonIntegralGenus,
@@ -20,7 +24,16 @@ from prodquot.orbifold import (
     surface_presentation,
     validate_generating_vector,
 )
-from prodquot.perm import GroupTooLarge, cyclic_group, symmetric_group
+from prodquot.perm import (
+    FiniteGroup,
+    GroupTooLarge,
+    cyclic_group,
+    dihedral_group,
+    direct_product_group,
+    perm_from_cycles,
+    symmetric_group,
+    trivial_group,
+)
 from prodquot.presentation import abelian_invariants, quotient_presentation
 from prodquot.words import Word
 
@@ -171,6 +184,171 @@ def test_enumerate_vector_counts_match_brute_force():
     assert len(enumerate_generating_vectors(z2, 0, (2, 2, 2, 2))) == 1
     assert len(enumerate_generating_vectors(z2, 1, ())) == 3
     assert enumerate_generating_vectors(cyclic_group(3), 0, (2, 2)) == []
+
+
+def _reference_enumerate(
+    h: FiniteGroup, genus: int, periods: Sequence[int]
+) -> list[GeneratingVector]:
+    """The recursive enumerator ``enumerate_generating_vectors`` replaced,
+    kept as its oracle: all generating vectors for the given data, in
+    deterministic order.
+
+    Depth-first over c images (filtered by exact element order, the last one
+    solved from the long relation when genus is 0), then over a/b images with
+    the last pair filtered by the required commutator value.
+    """
+    if h.order > ENUMERATION_MAX_ORDER:
+        raise GroupTooLarge(f"vector enumeration capped at order {ENUMERATION_MAX_ORDER}")
+    periods = tuple(periods)
+    by_order: dict[int, list[int]] = {}
+    for m in set(periods):
+        by_order[m] = [e for e in range(h.order) if h.element_order(e) == m]
+        if not by_order[m]:
+            return []
+    results: list[GeneratingVector] = []
+    r = len(periods)
+
+    def commutator(a: int, b: int) -> int:
+        return h.mul_idx(h.mul_idx(h.mul_idx(a, b), h.inv_idx(a)), h.inv_idx(b))
+
+    def finish(cs: tuple[int, ...], abs_: tuple[int, ...]) -> None:
+        a_imgs = abs_[0::2]
+        b_imgs = abs_[1::2]
+        if len(h.generated((*a_imgs, *b_imgs, *cs))) != h.order:
+            return
+        results.append(
+            GeneratingVector(h, genus, periods, a_imgs, b_imgs, cs)
+        )
+
+    def extend_ab(cs: tuple[int, ...]) -> None:
+        # need prod of commutators == inverse of c product
+        inv_cprod = 0
+        for c in cs:
+            inv_cprod = h.mul_idx(inv_cprod, c)
+        needed = h.inv_idx(inv_cprod)
+        if genus == 0:
+            if needed == 0:
+                finish(cs, ())
+            return
+
+        def rec(depth: int, acc: int, chosen: tuple[int, ...]) -> None:
+            if depth == genus - 1:
+                want = h.mul_idx(h.inv_idx(acc), needed)
+                for a in range(h.order):
+                    for b in range(h.order):
+                        if commutator(a, b) == want:
+                            finish(cs, chosen + (a, b))
+                return
+            for a in range(h.order):
+                for b in range(h.order):
+                    rec(depth + 1, h.mul_idx(acc, commutator(a, b)), chosen + (a, b))
+
+        rec(0, 0, ())
+
+    def rec_c(i: int, chosen: tuple[int, ...]) -> None:
+        if genus == 0 and r and i == r - 1:
+            # last c image is forced by the long relation
+            prod = 0
+            for c in chosen:
+                prod = h.mul_idx(prod, c)
+            last = h.inv_idx(prod)
+            if h.element_order(last) == periods[-1]:
+                extend_ab(chosen + (last,))
+            return
+        if i == r:
+            extend_ab(chosen)
+            return
+        for c in by_order[periods[i]]:
+            rec_c(i + 1, chosen + (c,))
+
+    rec_c(0, ())
+    return results
+
+
+def _quaternion_group() -> FiniteGroup:
+    # left multiplication of Q8 on its points 1, i, j, k, -1, -i, -j, -k
+    i = perm_from_cycles(8, [(0, 1, 4, 5), (2, 7, 6, 3)])
+    j = perm_from_cycles(8, [(0, 2, 4, 6), (1, 3, 5, 7)])
+    return FiniteGroup([i, j])
+
+
+def _reference_work(pool_sizes: dict[int, int], genus: int, periods: Sequence[int]) -> int:
+    """c-tuples the reference tries, times its commutator evaluations per tuple."""
+    n = sum(pool_sizes.values())
+    free = periods[:-1] if genus == 0 and periods else periods
+    tuples = 1
+    for m in free:
+        tuples *= pool_sizes[m]
+    return tuples * n ** (2 * genus)
+
+
+def test_enumeration_matches_reference_on_bundled_actions():
+    checked = 0
+    for name in bundled_job_names():
+        for action in load_bundled_job(name).actions:
+            h, v = action.acting_group, action.vector
+            got = enumerate_generating_vectors(h, v.genus, v.periods)
+            assert got == _reference_enumerate(h, v.genus, v.periods), name
+            assert v in got, name
+            checked += 1
+    assert checked >= 20
+
+
+def test_enumeration_matches_reference_on_group_sweep():
+    # every sorted period tuple over each group's element orders, r = 0..4,
+    # genus 0-2 with genus 2 on groups of order <= 8; a case is skipped when
+    # the reference would take more than 5000 steps
+    groups = [
+        trivial_group(),
+        cyclic_group(2),
+        cyclic_group(4),
+        cyclic_group(6),
+        direct_product_group(cyclic_group(2), cyclic_group(4)),
+        dihedral_group(4),
+        _quaternion_group(),
+        symmetric_group(3),
+        symmetric_group(4),
+        dihedral_group(64),
+    ]
+    assert max(h.order for h in groups) == ENUMERATION_MAX_ORDER
+    checked = vectors = 0
+    for h in groups:
+        pool_sizes: dict[int, int] = {}
+        for e in range(h.order):
+            m = h.element_order(e)
+            pool_sizes[m] = pool_sizes.get(m, 0) + 1
+        orders = sorted(pool_sizes)[1:]
+        for genus in range(3 if h.order <= 8 else 2):
+            for r in range(5):
+                for periods in itertools.combinations_with_replacement(orders, r):
+                    if _reference_work(pool_sizes, genus, periods) > 5000:
+                        continue
+                    got = enumerate_generating_vectors(h, genus, periods)
+                    assert got == _reference_enumerate(h, genus, periods), (
+                        h.order, genus, periods,
+                    )
+                    checked += 1
+                    vectors += len(got)
+    assert checked >= 400 and vectors >= 25000
+    # among them, cases whose c3 solved from the long relation never has the
+    # period's order: two transpositions of S3 multiply to 1 or a 3-cycle,
+    # two generators of Z/4 to 0 or 2
+    assert enumerate_generating_vectors(symmetric_group(3), 0, (2, 2, 2)) == []
+    assert enumerate_generating_vectors(cyclic_group(4), 0, (4, 4, 4)) == []
+
+
+def test_enumeration_leaves_no_cyclic_garbage():
+    h = dihedral_group(4)
+    enumerate_generating_vectors(h, 1, (2, 2))  # build the group's caches
+    gc.collect()
+    gc.disable()
+    try:
+        vectors = enumerate_generating_vectors(h, 1, (2, 2))
+        assert vectors
+        del vectors
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_enumerate_vectors_group_size_guard():

@@ -14,6 +14,7 @@ from prodquot.perm import (
     cyclic_group,
     dihedral_group,
     direct_product_group,
+    identity_hom,
     identity_perm,
     normal_closure,
     perm_from_cycles,
@@ -74,12 +75,36 @@ def test_element_indexing_starts_at_identity():
 
 
 def test_index_arithmetic_matches_permutations():
-    g = symmetric_group(3)
-    for a in range(g.order):
-        assert g.elements[g.inv_idx(a)] == g.elements[a].inverse()
-        assert g.element_order(a) == g.elements[a].order()
-        for b in range(g.order):
-            assert g.elements[g.mul_idx(a, b)] == g.elements[a] * g.elements[b]
+    # Permutation arithmetic is the oracle for everything read off the table
+    for g in (
+        symmetric_group(3),
+        symmetric_group(4),
+        dihedral_group(4),
+        direct_product_group(cyclic_group(2), cyclic_group(4)),
+        _quaternion_group(),
+    ):
+        elements = g.elements
+        assert tuple(elements[i] for i in g.gen_indices) == g.generators
+        for a, x in enumerate(elements):
+            assert elements[g.inv_idx(a)] == x.inverse()
+            assert g.element_order(a) == x.order()
+            power = identity_perm(g.degree)
+            for p in g.powers(a):
+                assert elements[p] == power
+                power = power * x
+            assert power.is_identity() and len(g.powers(a)) == x.order()
+            for b, y in enumerate(elements):
+                assert elements[g.mul_idx(a, b)] == x * y
+                assert elements[g.commutator(a, b)] == x * y * x.inverse() * y.inverse()
+        last = g.order - 1
+        q, proj = quotient(g, normal_closure(g, {last}))
+        conj = GroupHom(g, g, [g.conj_idx(last, i) for i in g.gen_indices])
+        for hom in (proj, conj, identity_hom(g)):
+            for a in range(g.order):
+                image = identity_perm(hom.target.degree)
+                for i in g.element_word(a):
+                    image = image * hom.target.elements[hom.gen_images[i]]
+                assert hom.target.elements[hom.apply_idx(a)] == image
 
 
 def test_conj_idx_is_left_conjugation():
