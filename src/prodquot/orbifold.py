@@ -209,7 +209,8 @@ def enumerate_generating_vectors(
     each exact order by ascending index, the last c solved from the long
     relation when the genus is 0; then a1, b1, ..., ag, bg, also in product
     order.  The last (a, b) pair is read from the commutator table, bucketed
-    by value once per call; the vectors kept are those that generate h.
+    by value once per call; the vectors kept are those that generate h,
+    tested once per call for each set of elements they hold.
     """
     if h.order > ENUMERATION_MAX_ORDER:
         raise GroupTooLarge(f"vector enumeration capped at order {ENUMERATION_MAX_ORDER}")
@@ -232,6 +233,8 @@ def enumerate_generating_vectors(
     else:
         last_pairs[0].append(())
     results: list[GeneratingVector] = []
+    # whether a set of elements generates h, per set met in this call
+    generating: dict[frozenset[int], bool] = {}
     for cs in itertools.product(*(pools[:-1] if solve_last else pools)):
         prod = 0
         for c in cs:
@@ -248,7 +251,11 @@ def enumerate_generating_vectors(
                 acc = mul[acc][comm[lead[i]][lead[i + 1]]]
             for last in last_pairs[mul[h.inv_idx(acc)][needed]]:
                 abs_ = lead + last
-                if len(h.generated((*abs_, *cs))) == n:
+                elements = frozenset((*abs_, *cs))
+                generates = generating.get(elements)
+                if generates is None:
+                    generates = generating[elements] = len(h.generated(elements)) == n
+                if generates:
                     results.append(
                         GeneratingVector(h, genus, periods, abs_[0::2], abs_[1::2], cs)
                     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -185,11 +186,11 @@ class _Code:
 
 class _Relator:
     """One relator's letters and what the simplifier reads off them.  A
-    record is never updated: a relator whose letters change becomes a new
-    record, with a new stamp (unique within one simplification) and no
-    misses."""
+    record's letters never change: a relator whose letters change becomes a
+    new record, with a new stamp (unique within one simplification and
+    increasing) and an empty overlap scan state."""
 
-    __slots__ = ("word", "key", "gens", "once", "stamp", "misses")
+    __slots__ = ("word", "key", "gens", "once", "stamp", "misses", "clean", "heads")
 
     def __init__(self, word: str, stamp: int, code: _Code) -> None:
         self.word = word
@@ -218,6 +219,11 @@ class _Relator:
         self.stamp = stamp
         # stamps of the rules known to give this relator no overlap hit
         self.misses: Optional[set[int]] = None
+        # the largest stamp present when this relator, as a rule, last gave no
+        # overlap hit on any target
+        self.clean: Optional[int] = None
+        # as a rule: the heads of its variants, in scan order
+        self.heads: Optional[list[str]] = None
 
 
 def _dedup(rels: list[_Relator]) -> list[_Relator]:
@@ -227,37 +233,120 @@ def _dedup(rels: list[_Relator]) -> list[_Relator]:
 
 
 def _find_overlap(rels: list[_Relator], code: _Code) -> Optional[tuple[int, str]]:
-    """The first overlap hit, as its target position and rewritten word."""
+    """The first overlap hit, as its target position and rewritten word.
+
+    A rule that gave no hit on any target is searched again only against the
+    targets built since, in list order; a target skips the rules that
+    already missed it."""
+    # positions, newest record first
+    newest = sorted(range(len(rels)), key=lambda j: rels[j].stamp, reverse=True)
+    latest = rels[newest[0]].stamp if rels else None
     for i, rec in enumerate(rels):
         rule = rec.word
         ell = len(rule)
         if ell < 2 or ell > _OVERLAP_RULE_MAX:
             continue
         half = ell // 2 + 1
+        clean = rec.clean
+        if clean is None:
+            targets: Iterable[int] = range(len(rels))
+        else:
+            targets = sorted(itertools.takewhile(lambda j: rels[j].stamp > clean, newest))
+        heads = rec.heads
+        if heads is None:
+            # variants in scan order: rotation 0, inverse rotation 0,
+            # rotation 1, inverse rotation 1, ...
+            doubles = (rule * 2, code.inverse(rule) * 2)
+            heads = rec.heads = [d[s : s + half] for s in range(ell) for d in doubles]
         stamp = rec.stamp
-        heads = None
-        for j, target in enumerate(rels):
+        for j in targets:
+            target = rels[j]
             word = target.word
             if j == i or not half <= len(word) <= _OVERLAP_MAX_LEN:
                 continue
             known = target.misses
             if known is not None and stamp in known:
                 continue
-            if heads is None:
-                # variants in scan order: rotation 0, inverse rotation 0,
-                # rotation 1, inverse rotation 1, ...
-                doubles = (rule * 2, code.inverse(rule) * 2)
-                heads = [d[s : s + half] for s in range(ell) for d in doubles]
             for v, head in enumerate(heads):
                 s = word.find(head)
                 if s >= 0:
-                    r = v // 2
-                    tail = doubles[v % 2][r + half : r + ell]
+                    variant = rule if v % 2 == 0 else code.inverse(rule)
+                    tail = (variant * 2)[v // 2 + half : v // 2 + ell]
                     return j, code.reduce(word[:s] + code.inverse(tail) + word[s + half :])
             if known is None:
                 known = target.misses = set()
             known.add(stamp)
+        rec.clean = latest
     return None
+
+
+def _short_pass(words: list[str], code: _Code, budget: int) -> dict[str, str]:
+    """The eliminations by defining relators of length 1 and 2 that the ranked
+    loop would make first, in its order, on bare strings.  Returns the image
+    of both letters of each eliminated generator: "" or one letter.
+
+    ``words`` is the loop's relator list before ``_dedup``, changed in place:
+    a used or trivial relator becomes "".  A short relator kills its
+    generator or renames it to one letter, so no word grows, and only the
+    words holding the generator are touched; they are reduced only where
+    letters can cancel."""
+    inverse_char = code.inverse_char
+    fold = code.fold
+    # positive letter -> slots of the words that may hold it
+    holders: dict[str, list[int]] = {chr(code.base + g + 1): [] for g in range(code.base)}
+    for slot, w in enumerate(words):
+        for g in set(w.translate(fold)):
+            holders[g].append(slot)
+    # (length, slot) of every short word; an entry goes stale when its word
+    # changes, and is dropped when popped
+    heap = [(len(w), slot) for slot, w in enumerate(words) if 0 < len(w) <= 2]
+    heapq.heapify(heap)
+    images: dict[str, str] = {}
+    while heap and len(images) < 2 * budget:  # two images per step
+        n, slot = heapq.heappop(heap)
+        rel = words[slot]
+        if len(rel) != n:
+            continue
+        gens = rel.translate(fold)
+        if n == 2 and gens[0] == gens[1]:
+            continue  # a square: no generator occurs once
+        gen = min(gens)
+        gen_inv = inverse_char[gen]
+        words[slot] = ""
+        pos = rel.find(gen)
+        if pos >= 0:
+            image = code.inverse(rel[pos + 1 :] + rel[:pos])
+        else:
+            pos = rel.find(gen_inv)
+            image = rel[pos + 1 :] + rel[:pos]
+        image_inv = code.inverse(image)
+        images[gen] = image
+        images[gen_inv] = image_inv
+        slots = holders.pop(gen)
+        if image:
+            holders[image.translate(fold)] += slots
+        for s in slots:
+            w = words[s]
+            if gen not in w and gen_inv not in w:
+                continue
+            if image:
+                w = w.replace(gen, image).replace(gen_inv, image_inv)
+                cancels = image + image_inv in w or image_inv + image in w
+            else:
+                pieces = w.replace(gen_inv, gen).split(gen)
+                w = pieces[0]
+                cancels = False
+                for piece in pieces[1:]:
+                    if piece:
+                        if w and w[-1] == inverse_char[piece[0]]:
+                            cancels = True
+                        w += piece
+            if cancels or (w and w[0] == inverse_char[w[-1]]):
+                w = code.reduce(w)
+            words[s] = w
+            if 0 < len(w) <= 2:
+                heapq.heappush(heap, (len(w), s))
+    return images
 
 
 def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
@@ -283,21 +372,48 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
     The overlap phase takes the first hit in rule -> target -> variant ->
     position order, where a variant is a rotation of the rule or of its
     inverse and its first ``len // 2 + 1`` letters (the head) are replaced by
-    the inverse of the rest.  A head's first position in a target is one
-    ``str.find``.  Each record carries an integer stamp, and each target
-    remembers the rule stamps that gave it no hit: a pair's outcome depends
-    only on the two relators' letters, so it is searched again only after
-    one of them changed, and the hits stay in order.
+    the inverse of the rest.  A pair's outcome depends only on the two
+    relators' letters, so it is searched again only after one of them
+    changed, and the hits stay in order.  Records are stamped in build order;
+    a rule that gave no hit on any target is searched again only against the
+    targets built since, and each target remembers the stamps of the rules
+    that missed it.  A rule's heads are cut once per record, and a head's
+    first position in a target is one ``str.find``.
+
+    Before any record is built, ``_short_pass`` makes the eliminations by
+    relators of length 1 and 2 that the ranked loop would make first: while
+    any such relator has a once-occurring generator, the loop picks one of
+    them, and the pass picks the same one from a heap keyed by (length,
+    position), substituting step by step (composing the substitutions and
+    reducing once would leave other rotations).  It works on the relator
+    list before duplicate removal.  That leaves the result unchanged: two
+    relators with one canonical key keep one key under substitution and
+    cyclic reduction, so a later copy, which has the length and the
+    once-occurring generator of its first copy but a later position, never
+    outranks it, and it becomes empty when that copy defines an elimination.
+    The records are then built once, for the survivors, and deduplicated.
     """
     code = _Code(p.ngens)
-    new_stamp = itertools.count().__next__
-    rels = _dedup([_Relator(code.reduce(code.encode(r)), new_stamp(), code) for r in p.relators])
-    # original generator -> word over current generators
-    old_to_new = [chr(code.base + g + 1) for g in range(p.ngens)]
-    steps = 0
+    inverse_char = code.inverse_char
+    # a Word is freely reduced, so only a cyclic trim can apply
+    words = [code.encode(r) for r in p.relators]
+    words = [code.reduce(w) if w and w[0] == inverse_char[w[-1]] else w for w in words]
+    images = _short_pass(words, code, budget)
+    steps = len(images) // 2
+    # original generator -> word over current generators; a short step maps a
+    # letter to a letter or to nothing, so no reduction is due and following
+    # the images gives the word that substituting step by step would
+    old_to_new = []
+    for g in range(p.ngens):
+        w = chr(code.base + g + 1)
+        while w in images:
+            w = images[w]
+        old_to_new.append(w)
     # dead generators keep their letters until the final renumbering so that
     # untouched relators keep their records
-    alive = [True] * p.ngens
+    alive = [chr(code.base + g + 1) not in images for g in range(p.ngens)]
+    new_stamp = itertools.count().__next__
+    rels = _dedup([_Relator(w, new_stamp(), code) for w in words if w])
     changed = True
     while changed and steps < budget:
         changed = False

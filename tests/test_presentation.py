@@ -20,6 +20,7 @@ from prodquot.presentation import (
     _OVERLAP_RULE_MAX,
     _TIETZE_MAX_GENS,
     _Code,
+    _short_pass,
     abelian_invariants,
     direct_product_presentation,
     presentation,
@@ -478,6 +479,50 @@ def test_overlap_phase_matches_rescanning_reference_on_random_presentations():
         assert res == _reference_tietze(p, budget), seed
         hit_cases += _overlap_hits(p, res) > 0
     assert hit_cases >= 30
+
+
+def _short_presentation(rng: random.Random) -> Presentation:
+    """Mostly relators of length 1 and 2, a few longer ones, and repeats of
+    short relators as themselves, their inverses and their rotations."""
+    ngens = rng.randint(2, 7)
+    relators = []
+    for _ in range(rng.randint(2, 10)):
+        n = rng.choice((1, 2, 2, 2, 3, 4, 6))
+        letters = [rng.choice((1, -1)) * rng.randint(1, ngens) for _ in range(n)]
+        relators.append(word_from_letters(letters))
+        if n <= 2 and rng.random() < 0.4:
+            copy = rng.choice((letters, _inv_letters(letters), letters[1:] + letters[:1]))
+            relators.insert(rng.randint(0, len(relators)), word_from_letters(copy))
+    return Presentation(tuple(f"x{i}" for i in range(ngens)), tuple(relators))
+
+
+def test_short_eliminations_match_reference_on_random_presentations():
+    cut_short = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        p = _short_presentation(rng)
+        code = _Code(p.ngens)
+        words = [code.reduce(code.encode(r)) for r in p.relators]
+        short_steps = len(_short_pass(words, code, 10000)) // 2
+        for budget in (*range(9), 10000):
+            assert tietze_simplify(p, budget) == _reference_tietze(p, budget), (seed, budget)
+            cut_short += 0 < budget < short_steps
+    assert cut_short >= 300
+
+
+def test_short_eliminations_substitute_step_by_step():
+    # x2 = x3^-1 comes first (position 1), then x0 = x3 (position 2).  Step by
+    # step, the first substitution makes the long relator
+    # x3^-1*x0*x1*x3^-1*x1^-1*x3 and its cyclic reduction drops the ends;
+    # composing both substitutions and reducing once would give the rotation
+    # x1*x3^-1*x1^-1*x3 instead.
+    p = presentation(
+        ["x0", "x1", "x2", "x3"], ["x3^-1*x0*x1*x3^-1*x1^-1*x2^-1", "x3*x2", "x3*x0^-1"]
+    )
+    res = tietze_simplify(p)
+    assert res == _reference_tietze(p)
+    assert res.presentation.relator_texts() == ["x3*x1*x3^-1*x1^-1"]
+    assert [res.presentation.text(w) for w in res.old_to_new] == ["x3", "x1", "x3^-1", "x3"]
 
 
 def _classify_job(name, group, vectors):
