@@ -1,0 +1,199 @@
+#!/usr/bin/env python3
+"""Benchmark the torsion stage of build_pi1 on the 20 bundled jobs.
+
+For each job the factor lifts and the diagonal lift are built untimed, then
+two steps are timed: ``torsion_generators`` (the torsion normal forms and
+the check of every coordinate's image) and the torsion words
+(``torsion_word`` on every normal form, the rewrite into the diagonal
+lift).  Both are timed --repeats times in one interpreter, on lifts built
+afresh each time, since the lifts keep what ``torsion_word`` rewrote; a
+job's time is the median over the repeats, and the total is the sum over
+the jobs.  A run exits 1 when the sha256 of any job's raw pi1 presentation
+(the diagonal lift modulo the torsion words, before Tietze) differs from
+its frozen digest, so a speed change cannot change the answer.
+
+With --base SRC the script runs pairs: the checkout it lives in and the
+package under SRC (say, the src/ of a clone of the parent commit), each run
+in a fresh interpreter, the base first in even pairs and second in odd ones,
+and reports the medians over the runs.
+
+Usage:
+  python3 benchmarks/bench_torsion.py [--runs N] [--repeats R] [--base SRC] [--json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+from _common import ROOT, git_sha
+
+# bundled job -> sha256 of its raw pi1 presentation (see presentation_digest),
+# computed with the per-element torsion loop that checked and rewrote every
+# coordinate of every normal form
+RAW_DIGESTS = {
+    "d4-spherical-pair": "141e7b91150a04eaa5db8a260ee09adc2f83a024054bb5085995fee3f47ad136",
+    "free-z2-genus3": "6adc0a0648a8510e6606a73339575403d6884e86ee00a8e6a8eb2b42b312d9b3",
+    "klein-faithful-pair": "bbedadff9830a0f12bdf61dc560bb2fcaf3694d9ea2914af25757bbe2590c31b",
+    "klein-mixed-projections": "a2eb2aaeae93b1a58d754a92c0b24ba0f5fe0c57cfc380c1815aec9f0e9500cc",
+    "kummer": "95e14ee65dda8333d22b767b635d3882825db6da372db0b3f381e2581dcffd6c",
+    "one-factor-s3": "ed0e686de7f7879bc95b8a741e3ee39f00adde7dfba4a737590505a53502d23e",
+    "one-factor-z2": "9c60920e13116ecb2e084eed4628bcee74ffb3440dbeef4195ba7e62a0745b51",
+    "one-factor-z3-sphere": "55f0352faada65625d462c88be4e59f7e7a24bb9cd9caa3045ad217b2a30ad4b",
+    "s3-free-pair": "017e7617dbae6d599bf056d720239db95fa844a6e0b4fbe659a43656d979cc71",
+    "s3-pair": "920a0fb473186111e5fe0de2c9bc975df6600f316089c6a421085c7737fc5e14",
+    "s3-sign-mixed": "313e9a88b35087893803b593696a33a28f72ab45731c87a21eced1ded8815dd3",
+    "trivial-group-surfaces": "d0aad0c1b693ed1dad2644c48c4d2a30909ba05a36da458bf89d1ac63c5bf82e",
+    "z2-free-times-kummer": "60a75cdaaf12c70fe55abe3108043c092fb42d3b070281e0a5be51974a06a1f9",
+    "z2-pure-kernel-pair": "e3125697b4125efc223dc3d74e32ba9bdeb80b19fa791c32475cb047fe71fd09",
+    "z2-three-kummer": "e63850ed2a07ef043651cf0abc605f92560adc8ed693cce4eb8ec7841c378b35",
+    "z2-trivial-plus-kummer": "3135b4a4d07d83393df4209ef801dcf0d7ca2991f88185ac93a3df9415e02928",
+    "z3-triangle-pair": "197153f4385117d44820ff6ddede6e626a69ef0472a1ee5a61805a9b958da97c",
+    "z4-hyperbolic-pair": "d300e4346706386ec8a2a36184f8212421dfa551cefafcc181145679ed37297a",
+    "z4-torus-pair": "e5c1704b3b3a0f369de28297cdfd48858b7682a469dcde642af3729c6271ad04",
+    "z5-pair": "1e3ba00e75e1e3d974cdf2787f67085befdd0834460db3c8fe2f06e4c749ed2b",
+}
+
+STEPS = ("torsion", "words")
+
+
+def presentation_digest(pres) -> str:
+    from prodquot.words import format_word
+
+    text = json.dumps(
+        {"gens": list(pres.gens), "relators": [format_word(w, pres.gens) for w in pres.relators]},
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def time_job(name: str, repeats: int) -> dict:
+    """Median seconds of each step over the repeats, and the raw digest."""
+    import prodquot.product_quotient as pq
+    from prodquot.cli import load_bundled_job
+    from prodquot.presentation import quotient_presentation
+
+    job = load_bundled_job(name)
+    cosets, steps = job.budgets.max_cosets, job.budgets.tietze_steps
+    seconds = {step: [] for step in STEPS}
+    for _ in range(repeats):
+        lifts = [pq.lift_group(a, cosets, steps) for a in job.actions]
+        diag = pq.diagonal_lift_group(lifts, cosets)
+        start = time.perf_counter()
+        torsion = pq.torsion_generators(job.actions)
+        mid = time.perf_counter()
+        words = [pq.torsion_word(diag, te) for te in torsion]
+        end = time.perf_counter()
+        seconds["torsion"].append(mid - start)
+        seconds["words"].append(end - mid)
+    raw = quotient_presentation(diag.presentation, words)
+    return {
+        **{step: statistics.median(v) for step, v in seconds.items()},
+        "digest": presentation_digest(raw),
+    }
+
+
+def run_once(repeats: int) -> dict:
+    """Every bundled job in this interpreter."""
+    from prodquot.cli import bundled_job_names
+
+    return {name: time_job(name, repeats) for name in bundled_job_names()}
+
+
+def run_child(src: str, repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, os.path.abspath(__file__), "--child", "--repeats", str(repeats)]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def summarize(runs: list[dict]) -> dict:
+    """Per-job and total medians over the runs, in milliseconds."""
+    names = list(runs[0])
+    totals = [{step: sum(r[n][step] for n in names) for step in STEPS} for r in runs]
+    for t in totals:
+        t["total"] = t["torsion"] + t["words"]
+    out = {
+        "total_ms": {
+            key: round(1000 * statistics.median(t[key] for t in totals), 3)
+            for key in (*STEPS, "total")
+        },
+        "total_runs_ms": [round(1000 * t["total"], 3) for t in totals],
+        "jobs_ms": {
+            n: {
+                step: round(1000 * statistics.median(r[n][step] for r in runs), 3)
+                for step in STEPS
+            }
+            for n in names
+        },
+        "digest_ok": all(r[n]["digest"] == RAW_DIGESTS.get(n) for r in runs for n in names),
+    }
+    bad = sorted({n for r in runs for n in names if r[n]["digest"] != RAW_DIGESTS.get(n)})
+    if bad:
+        out["digest_mismatch"] = bad
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--runs", type=int, default=3, help="runs (pairs with --base)")
+    parser.add_argument("--repeats", type=int, default=5, help="timed repeats per job and run")
+    parser.add_argument("--base", help="src directory of the package to compare against")
+    parser.add_argument("--json", action="store_true", help="emit the results as JSON")
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+
+    if args.child:
+        print(json.dumps(run_once(args.repeats)))
+        return 0
+
+    here_src = os.path.join(ROOT, "src")
+    after: list[dict] = []
+    before: list[dict] = []
+    for k in range(args.runs):
+        if args.base and k % 2 == 0:
+            before.append(run_child(args.base, args.repeats))
+        after.append(run_child(here_src, args.repeats))
+        if args.base and k % 2 == 1:
+            before.append(run_child(args.base, args.repeats))
+    doc = {
+        "python": platform.python_version(),
+        "git_sha": git_sha(),
+        "runs": args.runs,
+        "repeats": args.repeats,
+        "after": summarize(after),
+    }
+    if before:
+        doc["before"] = summarize(before)
+        doc["speedup"] = round(
+            doc["before"]["total_ms"]["total"] / doc["after"]["total_ms"]["total"], 2
+        )
+    ok = all(doc[side]["digest_ok"] for side in ("before", "after") if side in doc)
+    if args.json:
+        print(json.dumps(doc, indent=1))
+        return 0 if ok else 1
+
+    sides = [side for side in ("before", "after") if side in doc]
+    print(f"{'job (ms)':28}" + "".join(f"{s + ' ' + step:>20}" for s in sides for step in STEPS))
+    for name in doc["after"]["jobs_ms"]:
+        cells = [doc[s]["jobs_ms"][name][step] for s in sides for step in STEPS]
+        print(f"{name:28}" + "".join(f"{c:>20.3f}" for c in cells))
+    cells = [doc[s]["total_ms"][step] for s in sides for step in STEPS]
+    print(f"{'total':28}" + "".join(f"{c:>20.3f}" for c in cells))
+    if "speedup" in doc:
+        print(f"speedup {doc['speedup']}x")
+    for side in sides:
+        mismatch = doc[side].get("digest_mismatch")
+        print(f"{side} raw digests {'MISMATCH ' + ', '.join(mismatch) if mismatch else 'match'}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Iterator, Optional, Sequence
 
@@ -65,7 +65,7 @@ from .rewrite import (
     reidemeister_schreier,
     subgroup_abelian_invariants,
 )
-from .words import Word, free_reduce, word_product
+from .words import Word, free_reduce
 
 DEFAULT_MAX_COSETS = 100_000
 DEFAULT_TIETZE_STEPS = 10_000
@@ -152,6 +152,8 @@ class LiftGroup:
     old_to_new: Optional[tuple[Word, ...]]  # raw subgroup generator -> simplified word
     psi: tuple[int, ...]  # G element per simplified generator
     section: tuple[Word, ...]  # G element -> simplified word with that image
+    # (G element, TorsionFactor) -> rewritten torsion coordinate (torsion_word)
+    coordinates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def embed(self, g_idx: int, t_word: Word) -> Word:
         """Ambient word for the pair (g, t)."""
@@ -160,7 +162,7 @@ class LiftGroup:
 
     def rewrite_pair(self, g_idx: int, t_word: Word) -> Word:
         if self.subgroup is None:
-            return free_reduce(t_word.letters)
+            return t_word
         return transport_word(
             self.subgroup.rewrite(self.embed(g_idx, t_word)), self.old_to_new
         )
@@ -234,6 +236,8 @@ class DiagonalLiftGroup:
     table: CosetTable
     subgroup: SubgroupPresentation
     psi: tuple[int, ...]  # common G element per generator
+    # tuple of factor parts -> rewritten torsion normal form (torsion_word)
+    torsion_words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def presentation(self) -> Presentation:
@@ -244,11 +248,14 @@ class DiagonalLiftGroup:
         return self.lifts[0].action.group
 
     def rewrite_factors(self, parts: Sequence[Word]) -> Word:
-        """Rewrite a tuple given as one lift word per factor."""
+        """Rewrite a tuple given as one lift word per factor.  The factors'
+        generators occupy disjoint ranges, so the shifted parts concatenate
+        to a freely reduced word."""
         if len(parts) != len(self.lifts):
             raise ValueError("one word per factor required")
+        shifted = zip(parts, self.offsets)
         return self.subgroup.rewrite(
-            word_product(part.shift(off) for part, off in zip(parts, self.offsets))
+            Word(tuple((g + off, e) for part, off in shifted for g, e in part.letters))
         )
 
 
@@ -319,12 +326,6 @@ class TorsionElement:
     factors: tuple[TorsionFactor, ...]
     distinguished: Optional[int]  # factor whose twist is trivial by construction
 
-    def key(self) -> tuple:
-        return (
-            self.g,
-            tuple((f.period_index, f.exponent, f.twist.letters) for f in self.factors),
-        )
-
 
 def _common_kernel(actions: Sequence[CurveAction]) -> set[int]:
     common = set(actions[0].kernel_indices)
@@ -356,50 +357,57 @@ def torsion_generators(actions: Sequence[CurveAction]) -> list[TorsionElement]:
     earlier factors are trivial, later ones run over every compatible
     conjugate-power coordinate with twists drawn from the stored sections.
     Elements of the joint kernel appear with all coordinates trivial.
+
+    The same coordinates recur across many normal forms, so each factor's
+    options are built once per H element, and each distinct (factor, G
+    element, coordinate) has its word evaluated and checked against the
+    factor's image of the G element once.  The forms are distinct by
+    construction: they differ in the distinguished factor, its power, the G
+    element or a twist, and distinct H elements have distinct section words.
     """
     acts = list(actions)
     if not acts:
         raise ValueError("at least one factor required")
     g = acts[0].group
     n = len(acts)
-    out: dict[tuple, TorsionElement] = {}
-    for e in sorted(_common_kernel(acts) - {0}):
-        te = TorsionElement(e, (_TRIVIAL_FACTOR,) * n, None)
-        out[te.key()] = te
-    for i in range(n):
-        ai = acts[i]
+    out = [
+        TorsionElement(e, (_TRIVIAL_FACTOR,) * n, None)
+        for e in sorted(_common_kernel(acts) - {0})
+    ]
+    fibers = [tuple(a.p_of(e) for a in acts) for e in range(g.order)]
+    options: dict[tuple[int, int], list[TorsionFactor]] = {}  # (factor, H element)
+    checked: set[tuple[int, int, TorsionFactor]] = set()  # (factor, G element, coordinate)
+    for i, ai in enumerate(acts):
         for q, row in enumerate(ai.powers):
             for ell, target in enumerate(row[1:], 1):
-                pivot = TorsionFactor(q, ell, Word())
-                for e in range(g.order):
-                    if ai.p_of(e) != target:
+                pivot = [TorsionFactor(q, ell, Word())]
+                for e, images in enumerate(fibers):
+                    if images[i] != target or any(images[:i]):
                         continue
-                    if any(acts[j].p_of(e) != 0 for j in range(i)):
-                        continue
-                    options = []
-                    ok = True
+                    columns = [[_TRIVIAL_FACTOR]] * i + [pivot]
                     for j in range(i + 1, n):
-                        opts = _factor_options(acts[j], acts[j].p_of(e))
-                        if not opts:
-                            ok = False
-                            break
-                        options.append(opts)
-                    if not ok:
+                        key = (j, images[j])
+                        if key not in options:
+                            options[key] = _factor_options(acts[j], images[j])
+                        columns.append(options[key])
+                    if not all(columns):
                         continue
-                    for combo in itertools.product(*options):
-                        factors = (_TRIVIAL_FACTOR,) * i + (pivot,) + combo
-                        te = TorsionElement(e, factors, i)
-                        _check_membership(acts, te)
-                        out.setdefault(te.key(), te)
-    return list(out.values())
-
-
-def _check_membership(actions: Sequence[CurveAction], te: TorsionElement) -> None:
-    for j, a in enumerate(actions):
-        w = te.factors[j].word(a.vector.genus)
-        got = evaluate_word(w, a.vector.gen_images(), a.acting_group)
-        if got != a.p_of(te.g):
-            raise RuntimeError("torsion coordinate image does not match the fiber")
+                    for j, column in enumerate(columns):
+                        a = acts[j]
+                        for f in column:
+                            if (j, e, f) in checked:
+                                continue
+                            checked.add((j, e, f))
+                            w = f.word(a.vector.genus)
+                            got = evaluate_word(w, a.vector.gen_images(), a.acting_group)
+                            if got != images[j]:
+                                raise RuntimeError(
+                                    "torsion coordinate image does not match the fiber"
+                                )
+                    out.extend(
+                        TorsionElement(e, combo, i) for combo in itertools.product(*columns)
+                    )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +488,23 @@ class Pi1Result:
 
 
 def torsion_word(diag: DiagonalLiftGroup, te: TorsionElement) -> Word:
-    """A torsion normal form as a word over the diagonal lift's generators."""
+    """A torsion normal form as a word over the diagonal lift's generators.
+
+    Each distinct (G element, coordinate) is rewritten into its factor's
+    lift once, and each distinct tuple of parts into the diagonal lift once,
+    per diagonal lift."""
     parts = []
-    for j, lift in enumerate(diag.lifts):
-        w = te.factors[j].word(lift.action.vector.genus)
-        parts.append(lift.rewrite_pair(te.g, w))
-    return diag.rewrite_factors(parts)
+    for lift, f in zip(diag.lifts, te.factors):
+        part = lift.coordinates.get((te.g, f))
+        if part is None:
+            part = lift.rewrite_pair(te.g, f.word(lift.action.vector.genus))
+            lift.coordinates[te.g, f] = part
+        parts.append(part)
+    key = tuple(parts)
+    word = diag.torsion_words.get(key)
+    if word is None:
+        word = diag.torsion_words[key] = diag.rewrite_factors(key)
+    return word
 
 
 def build_pi1(

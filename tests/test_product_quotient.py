@@ -43,7 +43,7 @@ from prodquot.rewrite import (
     kernel_subgroup_words,
     reidemeister_schreier,
 )
-from prodquot.words import Word, free_reduce
+from prodquot.words import Word, free_reduce, word_product
 
 
 def _actions(job_name: str):
@@ -265,6 +265,199 @@ def test_torsion_words_die_in_pi1():
     table = todd_coxeter(res.presentation, (), max_cosets=20_000)
     for w in res.torsion_words:
         assert table.trace(0, res.transport(w)) == 0
+
+
+# ---------------------------------------------------------------------------
+# Torsion normal forms against the per-element loop.
+
+# torsion-heavy classify strata: Z/3 x Z/3 (1;3,3)^2, Z/7 (0;7,7,7)^2 and the
+# nonabelian Q8 (0;4,4,4)^2, whose twists change the coordinate images
+TORSION_JOBS = {
+    doc["name"]: doc
+    for doc in (
+        {
+            "schema": "prodquot-job/1",
+            "name": "classify-Z3xZ3-(1;3,3)x(1;3,3)-nonfree-0",
+            "group": {"degree": 6, "generators": [[1, 2, 0, 3, 4, 5], [0, 1, 2, 4, 5, 3]]},
+            "actions": [
+                {
+                    "projection": "identity",
+                    "signature": {"genus": 1, "periods": [3, 3]},
+                    "vector": {"a": ["g0"], "b": ["g0^2"], "c": ["g0*g1^2", "g0^2*g1"]},
+                },
+                {
+                    "projection": "identity",
+                    "signature": {"genus": 1, "periods": [3, 3]},
+                    "vector": {"a": ["g0^2"], "b": ["g0*g1^2"], "c": ["g0*g1^2", "g0^2*g1"]},
+                },
+            ],
+            "outputs": ["pi1"],
+        },
+        {
+            "schema": "prodquot-job/1",
+            "name": "classify-Z7-(0;7,7,7)x(0;7,7,7)-nonfree-0",
+            "group": {"degree": 7, "generators": [[1, 2, 3, 4, 5, 6, 0]]},
+            "actions": [
+                {
+                    "projection": "identity",
+                    "signature": {"genus": 0, "periods": [7, 7, 7]},
+                    "vector": {"a": [], "b": [], "c": ["g0^2", "g0", "g0^4"]},
+                },
+                {
+                    "projection": "identity",
+                    "signature": {"genus": 0, "periods": [7, 7, 7]},
+                    "vector": {"a": [], "b": [], "c": ["g0^2", "g0^6", "g0^6"]},
+                },
+            ],
+            "outputs": ["pi1"],
+        },
+        {
+            "schema": "prodquot-job/1",
+            "name": "classify-Q8-(0;4,4,4)x(0;4,4,4)-nonfree-0",
+            "group": {
+                "degree": 8,
+                "generators": [[1, 4, 3, 6, 5, 0, 7, 2], [2, 7, 4, 1, 6, 3, 0, 5]],
+            },
+            "actions": [
+                {
+                    "projection": "identity",
+                    "signature": {"genus": 0, "periods": [4, 4, 4]},
+                    "vector": {"a": [], "b": [], "c": ["g0", "g1", "g1*g0"]},
+                },
+                {
+                    "projection": "identity",
+                    "signature": {"genus": 0, "periods": [4, 4, 4]},
+                    "vector": {"a": [], "b": [], "c": ["g0^3", "g1", "g0*g1"]},
+                },
+            ],
+            "outputs": ["pi1"],
+        },
+        BEAUVILLE_JOB,
+    )
+}
+
+
+def _reference_torsion(actions, diag):
+    """The per-element loop: options are built, every coordinate checked and
+    every normal form rewritten once per normal form.  Returns the normal
+    forms, their words over the diagonal lift and the raw presentation."""
+    trivial = pq.TorsionFactor(None, 0, Word())
+
+    def key(te):
+        return (
+            te.g,
+            tuple((f.period_index, f.exponent, f.twist.letters) for f in te.factors),
+        )
+
+    def check_membership(acts, te):
+        for j, a in enumerate(acts):
+            w = te.factors[j].word(a.vector.genus)
+            got = evaluate_word(w, a.vector.gen_images(), a.acting_group)
+            if got != a.p_of(te.g):
+                raise RuntimeError("torsion coordinate image does not match the fiber")
+
+    def torsion_word(diag, te):
+        parts = []
+        for j, lift in enumerate(diag.lifts):
+            w = te.factors[j].word(lift.action.vector.genus)
+            parts.append(lift.rewrite_pair(te.g, w))
+        return diag.subgroup.rewrite(
+            word_product(part.shift(off) for part, off in zip(parts, diag.offsets))
+        )
+
+    acts = list(actions)
+    g = acts[0].group
+    n = len(acts)
+    out = {}
+    for e in sorted(pq._common_kernel(acts) - {0}):
+        te = pq.TorsionElement(e, (trivial,) * n, None)
+        out[key(te)] = te
+    for i in range(n):
+        ai = acts[i]
+        for q, row in enumerate(ai.powers):
+            for ell, target in enumerate(row[1:], 1):
+                pivot = pq.TorsionFactor(q, ell, Word())
+                for e in range(g.order):
+                    if ai.p_of(e) != target:
+                        continue
+                    if any(acts[j].p_of(e) != 0 for j in range(i)):
+                        continue
+                    options = []
+                    ok = True
+                    for j in range(i + 1, n):
+                        opts = pq._factor_options(acts[j], acts[j].p_of(e))
+                        if not opts:
+                            ok = False
+                            break
+                        options.append(opts)
+                    if not ok:
+                        continue
+                    for combo in itertools.product(*options):
+                        factors = (trivial,) * i + (pivot,) + combo
+                        te = pq.TorsionElement(e, factors, i)
+                        check_membership(acts, te)
+                        out.setdefault(key(te), te)
+    torsion = list(out.values())
+    words = [torsion_word(diag, te) for te in torsion]
+    return torsion, words, quotient_presentation(diag.presentation, words)
+
+
+@pytest.mark.parametrize("name", bundled_job_names() + list(TORSION_JOBS))
+def test_torsion_matches_the_per_element_loop(name):
+    if name in TORSION_JOBS:
+        job = parse_job(json.dumps(TORSION_JOBS[name]))
+    else:
+        job = load_bundled_job(name)
+    cosets, steps = job.budgets.max_cosets, job.budgets.tietze_steps
+    res = build_pi1(job.actions, cosets, steps)
+    lifts = [pq.lift_group(a, cosets, steps) for a in job.actions]
+    torsion, words, raw = _reference_torsion(
+        job.actions, pq.diagonal_lift_group(lifts, cosets)
+    )
+    assert torsion_generators(job.actions) == torsion
+    assert res.torsion == tuple(torsion)
+    assert res.torsion_words == tuple(words)
+    assert res.raw_presentation == raw
+
+
+def test_each_distinct_torsion_coordinate_is_evaluated_once(monkeypatch):
+    actions = _actions("z2-three-kummer")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return evaluate_word(*args, **kwargs)
+
+    monkeypatch.setattr(pq, "evaluate_word", counting)
+    torsion = torsion_generators(actions)
+    coordinates = {
+        (j, te.g, f)
+        for te in torsion
+        if te.distinguished is not None
+        for j, f in enumerate(te.factors)
+    }
+    assert len(torsion) == 256
+    assert len(calls) == len(coordinates) < len(torsion) * len(actions)
+
+
+def test_a_corrupt_section_word_fails_the_torsion_check(monkeypatch):
+    actions = _actions("s3-pair")
+    a = actions[1]
+    h = a.acting_group
+    images = a.vector.gen_images()
+    # a coordinate with a nontrivial twist x; pointing section[x] at an
+    # element y that conjugates the core elsewhere breaks its image
+    f = next(
+        te.factors[1] for te in torsion_generators(actions) if te.factors[1].twist.letters
+    )
+    x = evaluate_word(f.twist, images, h)
+    core = a.powers[f.period_index][f.exponent]
+    y = next(y for y in range(h.order) if h.conj_idx(y, core) != h.conj_idx(x, core))
+    section = list(a.section)
+    section[x] = a.section[y]
+    monkeypatch.setitem(a.__dict__, "section", tuple(section))
+    with pytest.raises(RuntimeError, match="torsion coordinate image does not match the fiber"):
+        torsion_generators(actions)
 
 
 def test_build_curve_action_validation():
