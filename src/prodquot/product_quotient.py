@@ -236,8 +236,6 @@ class DiagonalLiftGroup:
     table: CosetTable
     subgroup: SubgroupPresentation
     psi: tuple[int, ...]  # common G element per generator
-    # tuple of factor parts -> rewritten torsion normal form (torsion_word)
-    torsion_words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def presentation(self) -> Presentation:
@@ -334,8 +332,15 @@ def _common_kernel(actions: Sequence[CurveAction]) -> set[int]:
     return common
 
 
+def _check_coordinate(action: CurveAction, f: TorsionFactor, target: int) -> None:
+    w = f.word(action.vector.genus)
+    if evaluate_word(w, action.vector.gen_images(), action.acting_group) != target:
+        raise RuntimeError("torsion coordinate image does not match the fiber")
+
+
 def _factor_options(action: CurveAction, target: int) -> list[TorsionFactor]:
-    """All normal-form coordinates whose image equals the given H element."""
+    """All normal-form coordinates whose image equals the given H element,
+    each nontrivial one checked against it."""
     h = action.acting_group
     opts: list[TorsionFactor] = []
     if target == 0:
@@ -346,7 +351,9 @@ def _factor_options(action: CurveAction, target: int) -> list[TorsionFactor]:
             if c is None:
                 continue
             for v in centralizer(h, base):
-                opts.append(TorsionFactor(q, ell, action.section[h.mul_idx(c, v)]))
+                f = TorsionFactor(q, ell, action.section[h.mul_idx(c, v)])
+                _check_coordinate(action, f, target)
+                opts.append(f)
     return opts
 
 
@@ -358,12 +365,12 @@ def torsion_generators(actions: Sequence[CurveAction]) -> list[TorsionElement]:
     conjugate-power coordinate with twists drawn from the stored sections.
     Elements of the joint kernel appear with all coordinates trivial.
 
-    The same coordinates recur across many normal forms, so each factor's
-    options are built once per H element, and each distinct (factor, G
-    element, coordinate) has its word evaluated and checked against the
-    factor's image of the G element once.  The forms are distinct by
-    construction: they differ in the distinguished factor, its power, the G
-    element or a twist, and distinct H elements have distinct section words.
+    A coordinate's image depends on its factor but not on the G element,
+    so each factor's options are built once per H element and each
+    nontrivial one is checked against that H element as it is built: a
+    distinct coordinate is evaluated once, however many forms share it.  The forms are distinct by construction:
+    they differ in the distinguished factor, its power, the G element or a
+    twist, and distinct H elements have distinct section words.
     """
     acts = list(actions)
     if not acts:
@@ -376,34 +383,25 @@ def torsion_generators(actions: Sequence[CurveAction]) -> list[TorsionElement]:
     ]
     fibers = [tuple(a.p_of(e) for a in acts) for e in range(g.order)]
     options: dict[tuple[int, int], list[TorsionFactor]] = {}  # (factor, H element)
-    checked: set[tuple[int, int, TorsionFactor]] = set()  # (factor, G element, coordinate)
     for i, ai in enumerate(acts):
         for q, row in enumerate(ai.powers):
             for ell, target in enumerate(row[1:], 1):
-                pivot = [TorsionFactor(q, ell, Word())]
-                for e, images in enumerate(fibers):
-                    if images[i] != target or any(images[:i]):
-                        continue
-                    columns = [[_TRIVIAL_FACTOR]] * i + [pivot]
+                fiber = [
+                    (e, images)
+                    for e, images in enumerate(fibers)
+                    if images[i] == target and not any(images[:i])
+                ]
+                if not fiber:
+                    continue
+                pivot = TorsionFactor(q, ell, Word())
+                _check_coordinate(ai, pivot, target)
+                for e, images in fiber:
+                    columns = [[_TRIVIAL_FACTOR]] * i + [[pivot]]
                     for j in range(i + 1, n):
                         key = (j, images[j])
                         if key not in options:
                             options[key] = _factor_options(acts[j], images[j])
                         columns.append(options[key])
-                    if not all(columns):
-                        continue
-                    for j, column in enumerate(columns):
-                        a = acts[j]
-                        for f in column:
-                            if (j, e, f) in checked:
-                                continue
-                            checked.add((j, e, f))
-                            w = f.word(a.vector.genus)
-                            got = evaluate_word(w, a.vector.gen_images(), a.acting_group)
-                            if got != images[j]:
-                                raise RuntimeError(
-                                    "torsion coordinate image does not match the fiber"
-                                )
                     out.extend(
                         TorsionElement(e, combo, i) for combo in itertools.product(*columns)
                     )
@@ -491,8 +489,7 @@ def torsion_word(diag: DiagonalLiftGroup, te: TorsionElement) -> Word:
     """A torsion normal form as a word over the diagonal lift's generators.
 
     Each distinct (G element, coordinate) is rewritten into its factor's
-    lift once, and each distinct tuple of parts into the diagonal lift once,
-    per diagonal lift."""
+    lift once per lift."""
     parts = []
     for lift, f in zip(diag.lifts, te.factors):
         part = lift.coordinates.get((te.g, f))
@@ -500,11 +497,7 @@ def torsion_word(diag: DiagonalLiftGroup, te: TorsionElement) -> Word:
             part = lift.rewrite_pair(te.g, f.word(lift.action.vector.genus))
             lift.coordinates[te.g, f] = part
         parts.append(part)
-    key = tuple(parts)
-    word = diag.torsion_words.get(key)
-    if word is None:
-        word = diag.torsion_words[key] = diag.rewrite_factors(key)
-    return word
+    return diag.rewrite_factors(parts)
 
 
 def build_pi1(

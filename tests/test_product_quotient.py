@@ -431,10 +431,10 @@ def test_each_distinct_torsion_coordinate_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(pq, "evaluate_word", counting)
     torsion = torsion_generators(actions)
     coordinates = {
-        (j, te.g, f)
+        (j, a.p_of(te.g), f)
         for te in torsion
-        if te.distinguished is not None
-        for j, f in enumerate(te.factors)
+        for j, (a, f) in enumerate(zip(actions, te.factors))
+        if f.exponent
     }
     assert len(torsion) == 256
     assert len(calls) == len(coordinates) < len(torsion) * len(actions)
