@@ -44,10 +44,8 @@ from .presentation import (
 )
 from .product_quotient import (
     CurveAction,
-    DiagonalLiftGroup,
     FreenessResult,
     InvalidVector,
-    LiftGroup,
     Pi1Result,
     StructureReport,
     TorsionElement,
@@ -55,10 +53,8 @@ from .product_quotient import (
     build_curve_action,
     build_pi1,
     curve_group_image_words,
-    diagonal_lift_group,
     freeness_check,
     kill_maps,
-    lift_group,
     lifted_orbifold_generators,
     quotient_signatures,
     structure_from_pi1,
@@ -68,7 +64,6 @@ from .product_quotient import (
 from .rewrite import (
     WordNotInSubgroup,
     evaluate_word,
-    finite_group_presentation,
     kernel_subgroup_words,
     reidemeister_schreier,
     subgroup_abelian_invariants,
@@ -82,13 +77,11 @@ __all__ = [
     "CosetOverflow",
     "CosetTable",
     "CurveAction",
-    "DiagonalLiftGroup",
     "FiniteGroup",
     "FreenessResult",
     "GeneratingVector",
     "GroupHom",
     "InvalidVector",
-    "LiftGroup",
     "NegativeGenus",
     "NonIntegralGenus",
     "Permutation",
@@ -105,20 +98,17 @@ __all__ = [
     "build_pi1",
     "curve_group_image_words",
     "cyclic_group",
-    "diagonal_lift_group",
     "dihedral_group",
     "direct_product_group",
     "direct_product_presentation",
     "enumerate_generating_vectors",
     "evaluate_word",
     "fiber_product_table",
-    "finite_group_presentation",
     "free_reduce",
     "freeness_check",
     "identity_hom",
     "kernel_subgroup_words",
     "kill_maps",
-    "lift_group",
     "lifted_orbifold_generators",
     "orbifold_presentation",
     "parse_word",

@@ -151,12 +151,9 @@ def _brute_force_torsion_count(actions) -> int:
     conjugated period power (q, exponent, conjugator); it survives when every
     coordinate's value matches the group element's image on that factor and
     the first nontrivial coordinate is unconjugated.  Tuples that are trivial
-    everywhere count only for nonidentity elements of the joint kernel.
+    everywhere never count: the joint kernel acts trivially.
     """
     g = actions[0].group
-    common = set(range(g.order))
-    for a in actions:
-        common &= set(a.kernel_indices)
     count = 0
     for e in range(g.order):
         options = []
@@ -177,13 +174,8 @@ def _brute_force_torsion_count(actions) -> int:
             options.append(opts)
         for combo in itertools.product(*options):
             nontrivial = [c for c in combo if c is not None]
-            if not nontrivial:
-                if e != 0 and e in common:
-                    count += 1
-                continue
-            if nontrivial[0][2] != 0:
-                continue
-            count += 1
+            if nontrivial and nontrivial[0][2] == 0:
+                count += 1
     return count
 
 

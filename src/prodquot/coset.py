@@ -7,13 +7,14 @@ Words are column-coded: generator g forward is column 2*g, backward is
 through a union-find list whose merges always keep the smaller label, and
 coincidences are processed through a FIFO queue.  Completed tables are
 compressed and standardized, so for a fixed presentation, subgroup words and
-budget the resulting table is reproducible.  Fiber products over a finite
-group need no enumeration: ``fiber_product_table`` reads their tables off it.
+budget the resulting table is reproducible.  The preimage of a subgroup of
+a product of finite groups needs no enumeration: ``fiber_product_table``
+reads its table off the cosets of that subgroup.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -88,36 +89,64 @@ def todd_coxeter(
 
 
 def fiber_product_table(
-    p: Presentation, group, images: Sequence[Sequence[int]], max_cosets: int
+    p: Presentation,
+    groups: Sequence,
+    subgroup: Iterable[tuple[int, ...]],
+    images: Sequence[Sequence[int]],
+    max_cosets: int,
 ) -> CosetTable:
-    """Coset table of {(f_0, ..., f_{n-1}) : f_0 = ... = f_{n-1}} in the direct
-    product p, whose factor j's generators have group images ``images[j]``.
+    """Coset table of the preimage of a subgroup D of H_0 x ... x H_{n-1} in
+    the direct product p, whose factor j's generators have images
+    ``images[j]`` in ``groups[j]``.  D is given by its members, tuples of
+    element indices, and must project onto H_0.
 
-    A tuple's coset is (f_0^-1 f_j) over j > 0: a factor-0 generator multiplies
-    every coordinate on the left by its inverse, a factor-j generator
-    multiplies coordinate j - 1 on the right.  A generator-free last factor
-    gives the kernel of p onto the group.  Raises CosetOverflow up front when
-    the |group|^(n-1) cosets exceed max_cosets.
+    A coset D.h is then D.(1, r_1, ..., r_{n-1}) for some r, so it is keyed
+    by the least such r.  A factor-j generator (j > 0) multiplies r_j on the
+    right; a factor-0 generator x is moved back to the first coordinate by
+    a member of D over x^-1.  With D the diagonal of Q x Q and a
+    generator-free second factor, this is the kernel of p onto Q.  Raises
+    CosetOverflow up front when prod |H_j| / |D| exceeds max_cosets.
     """
     if sum(map(len, images)) != p.ngens:
         raise ValueError("one image per generator of the product required")
-    size = group.order ** (len(images) - 1)
+    members = set(subgroup)
+    size = math.prod(h.order for h in groups) // len(members)
     if size > max_cosets:
         raise CosetOverflow(size, max_cosets)
-    mul = group.cayley_table()
-    states = list(itertools.product(range(group.order), repeat=len(images) - 1))
-    index = {s: i for i, s in enumerate(states)}
-    raw: list[list[int]] = [[] for _ in states]
-    for j, factor_images in enumerate(images):
-        for a in factor_images:
-            for x in (a, group.inv_idx(a)):  # the generator's column, then its inverse's
-                left = mul[group.inv_idx(x)]
-                for row, s in zip(raw, states):
-                    if j:
-                        row.append(index[s[: j - 1] + (mul[s[j - 1]][x],) + s[j:]])
-                    else:
-                        row.append(index[tuple(left[c] for c in s)])
-    table, tree = _compress_standardize(raw, list(range(size)))
+    muls = [h.cayley_table() for h in groups[1:]]
+    over: dict[int, tuple[int, ...]] = {}  # H_0 element -> r of a member of D over it
+    for d in members:
+        over.setdefault(d[0], d[1:])
+    if len(over) != groups[0].order:
+        raise ValueError("the subgroup must project onto the first factor")
+    # D's members over 1 but 1: their left products with one r of a coset
+    # give its others
+    kernel = [d[1:] for d in members if d[0] == 0 and any(d)]
+
+    columns = [  # (factor, element, the r of a member of D over its inverse)
+        (j, x, over[groups[0].inv_idx(x)] if j == 0 else None)
+        for j, (h, factor_images) in enumerate(zip(groups, images))
+        for a in factor_images
+        for x in (a, h.inv_idx(a))  # the generator's column, then its inverse's
+    ]
+    states = [(0,) * len(muls)]
+    index = {states[0]: 0}
+    raw: list[list[int]] = []
+    for r in states:  # grows as cosets are found
+        row = []
+        for j, x, d in columns:
+            if j:
+                t = r[: j - 1] + (muls[j - 1][r[j - 1]][x],) + r[j:]
+            else:
+                t = tuple(mul[k][c] for mul, k, c in zip(muls, d, r))
+            if kernel:
+                t = min([t] + [tuple(mul[k][c] for mul, k, c in zip(muls, m, t)) for m in kernel])
+            if t not in index:
+                index[t] = len(states)
+                states.append(t)
+            row.append(index[t])
+        raw.append(row)
+    table, tree = _compress_standardize(raw, list(range(len(states))))
     return CosetTable(p, table, tree)
 
 

@@ -116,7 +116,6 @@ class FiniteGroup:
         self._gen_of = gen_of
         self._inverse: Optional[list[int]] = None
         self._table: Optional[list[tuple[int, ...]]] = None
-        self._presentation_cache = None
 
     @property
     def order(self) -> int:

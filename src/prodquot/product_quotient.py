@@ -1,11 +1,12 @@
 """Fundamental groups of quotients of curve products by diagonal actions.
 
 A finite group G acts on each factor curve through a quotient map
-p_i : G -> H_i and a generating vector for H_i.  This module builds:
+p_i : G -> H_i and a generating vector for H_i, which is the image of the
+factor's orbifold group T_i under phi_i.  This module builds:
 
-  * the lift of G through one orbifold cover (all pairs (g, t) with
-    p(g) = phi(t)), presented by Reidemeister-Schreier,
-  * the diagonal lift (tuples over the factor lifts sharing one G image),
+  * the orbifold fundamental group, the preimage of D(G) = {(p_1(g), ...,
+    p_n(g))} under phi_1 x ... x phi_n in T_1 x ... x T_n, presented by
+    Reidemeister-Schreier,
   * the finite set of torsion normal forms whose normal closure kills
     exactly the elements with fixed points,
   * a finite presentation of the fundamental group of the quotient,
@@ -13,22 +14,22 @@ p_i : G -> H_i and a generating vector for H_i.  This module builds:
     by a finite kernel, and a bounded search for a finite-index subgroup
     that looks like a product of surface groups.
 
-The lift, the diagonal lift and the search's kernels are fiber products over
-a finite group, so their coset tables are read off it, and the index of pi1's
-image in the orbifold quotients is counted in the acting groups; Todd-Coxeter
-runs only for |pi1|.
+The orbifold group and the search's kernels are preimages of subgroups of
+products of finite groups, so their coset tables are read off those groups,
+and the index of pi1's image in the orbifold quotients is counted in the
+acting groups; Todd-Coxeter runs only for |pi1|.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterator, Optional, Sequence
 
 from .abelian import AbelianInvariants
-from .coset import CosetOverflow, CosetTable, fiber_product_table, todd_coxeter
+from .coset import CosetOverflow, fiber_product_table, todd_coxeter
 from .orbifold import (
     GeneratingVector,
     Signature,
@@ -60,12 +61,11 @@ from .rewrite import (
     SubgroupPresentation,
     bfs_section,
     evaluate_word,
-    finite_group_presentation,
     kernel_subgroup_words,
     reidemeister_schreier,
     subgroup_abelian_invariants,
 )
-from .words import Word, free_reduce
+from .words import Word, word_from_letters, word_product
 
 DEFAULT_MAX_COSETS = 100_000
 DEFAULT_TIETZE_STEPS = 10_000
@@ -78,7 +78,7 @@ class InvalidVector(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# One factor: the acting group, the curve, and the lift.
+# One factor: the acting group and the curve.
 
 
 @dataclass(frozen=True)
@@ -134,166 +134,6 @@ def build_curve_action(
     )
 
 
-@dataclass
-class LiftGroup:
-    """Pairs (g, t) with p(g) = phi(t), presented inside G x orbifold.
-
-    When the projection is an isomorphism the second coordinate identifies
-    the lift with the orbifold group itself; no rewriting is stored then
-    (subgroup and old_to_new are None) and pair words pass through.
-    """
-
-    action: CurveAction
-    ambient: Presentation
-    group_gens: int  # leading ambient generators presenting G
-    table: CosetTable
-    subgroup: Optional[SubgroupPresentation]
-    presentation: Presentation  # simplified from the raw rewriting
-    old_to_new: Optional[tuple[Word, ...]]  # raw subgroup generator -> simplified word
-    psi: tuple[int, ...]  # G element per simplified generator
-    section: tuple[Word, ...]  # G element -> simplified word with that image
-    # (G element, TorsionFactor) -> rewritten torsion coordinate (torsion_word)
-    coordinates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def embed(self, g_idx: int, t_word: Word) -> Word:
-        """Ambient word for the pair (g, t)."""
-        g_word = free_reduce((g, 1) for g in self.action.group.element_word(g_idx))
-        return g_word * t_word.shift(self.group_gens)
-
-    def rewrite_pair(self, g_idx: int, t_word: Word) -> Word:
-        if self.subgroup is None:
-            return t_word
-        return transport_word(
-            self.subgroup.rewrite(self.embed(g_idx, t_word)), self.old_to_new
-        )
-
-
-def lift_group(
-    action: CurveAction,
-    max_cosets: int = DEFAULT_MAX_COSETS,
-    tietze_steps: int = DEFAULT_TIETZE_STEPS,
-) -> LiftGroup:
-    g = action.group
-    h = action.acting_group
-    gpres = finite_group_presentation(g)
-    tpres = action.vector.presentation()
-    k = gpres.ngens
-    ambient = direct_product_presentation([gpres, tpres])
-    phi = action.vector.gen_images()
-    p_images = [action.p_of(e) for e in g.gen_indices]
-    table = fiber_product_table(ambient, h, [p_images, phi], max_cosets)
-    if len(action.kernel_indices) == 1:
-        # faithful projection: (g, t) <-> t is an isomorphism with the
-        # orbifold group, so reuse its presentation directly
-        inv_p = [0] * h.order
-        for e in range(g.order):
-            inv_p[action.p_of(e)] = e
-        psi = tuple(inv_p[img] for img in phi)
-        return LiftGroup(
-            action,
-            ambient,
-            k,
-            table,
-            None,
-            tpres,
-            None,
-            psi,
-            bfs_section(g, psi),
-        )
-    sub = reidemeister_schreier(ambient, table, prefix="s")
-    gen_values = list(g.gen_indices) + [0] * tpres.ngens
-    raw_psi = [evaluate_word(w, gen_values, g) for w in sub.expansions]
-    tz = tietze_simplify(sub.presentation, tietze_steps)
-    positions = {name: i for i, name in enumerate(sub.presentation.gens)}
-    survivors = [positions[name] for name in tz.presentation.gens]
-    psi = tuple(raw_psi[i] for i in survivors)
-    if len(g.generated(psi)) != g.order:
-        raise RuntimeError("lift generators do not map onto the acting group")
-    return LiftGroup(
-        action,
-        ambient,
-        k,
-        table,
-        sub,
-        tz.presentation,
-        tz.old_to_new,
-        psi,
-        bfs_section(g, psi),
-    )
-
-
-# ---------------------------------------------------------------------------
-# The diagonal lift across all factors.
-
-
-@dataclass
-class DiagonalLiftGroup:
-    """Tuples over the factor lifts whose G images all agree."""
-
-    lifts: tuple[LiftGroup, ...]
-    ambient: Presentation
-    offsets: tuple[int, ...]
-    table: CosetTable
-    subgroup: SubgroupPresentation
-    psi: tuple[int, ...]  # common G element per generator
-
-    @property
-    def presentation(self) -> Presentation:
-        return self.subgroup.presentation
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.lifts[0].action.group
-
-    def rewrite_factors(self, parts: Sequence[Word]) -> Word:
-        """Rewrite a tuple given as one lift word per factor.  The factors'
-        generators occupy disjoint ranges, so the shifted parts concatenate
-        to a freely reduced word."""
-        if len(parts) != len(self.lifts):
-            raise ValueError("one word per factor required")
-        shifted = zip(parts, self.offsets)
-        return self.subgroup.rewrite(
-            Word(tuple((g + off, e) for part, off in shifted for g, e in part.letters))
-        )
-
-
-def diagonal_lift_group(
-    lifts: Sequence[LiftGroup], max_cosets: int = DEFAULT_MAX_COSETS
-) -> DiagonalLiftGroup:
-    if not lifts:
-        raise ValueError("at least one factor required")
-    g = lifts[0].action.group
-    for lift in lifts[1:]:
-        if lift.action.group is not g:
-            raise ValueError("all factors must share the acting group")
-    n = len(lifts)
-    fps = [lift.presentation for lift in lifts]
-    ambient = direct_product_presentation(fps)
-    offs = product_offsets(fps)
-    table = fiber_product_table(ambient, g, [lift.psi for lift in lifts], max_cosets)
-    sub = reidemeister_schreier(ambient, table, prefix="y")
-    psi: list[int] = []
-    for w in sub.expansions:
-        coords = []
-        for j in range(n):
-            lo, hi = offs[j], offs[j] + fps[j].ngens
-            part = free_reduce((gi - lo, e) for gi, e in w.letters if lo <= gi < hi)
-            coords.append(evaluate_word(part, lifts[j].psi, g))
-        if len(set(coords)) != 1:
-            raise RuntimeError("factor images disagree on a diagonal generator")
-        psi.append(coords[0])
-    if len(g.generated(psi)) != g.order:
-        raise RuntimeError("diagonal generators do not map onto the acting group")
-    return DiagonalLiftGroup(
-        tuple(lifts),
-        ambient,
-        tuple(offs),
-        table,
-        sub,
-        tuple(psi),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Torsion normal forms.
 
@@ -318,7 +158,7 @@ _TRIVIAL_FACTOR = TorsionFactor(None, 0, Word())
 
 @dataclass(frozen=True)
 class TorsionElement:
-    """Normal form of a finite-order element of the diagonal lift."""
+    """Normal form of a finite-order element of the orbifold group."""
 
     g: int  # element index in G
     factors: tuple[TorsionFactor, ...]
@@ -363,12 +203,13 @@ def torsion_generators(actions: Sequence[CurveAction]) -> list[TorsionElement]:
     One factor is distinguished and carries an untwisted nontrivial power;
     earlier factors are trivial, later ones run over every compatible
     conjugate-power coordinate with twists drawn from the stored sections.
-    Elements of the joint kernel appear with all coordinates trivial.
+    The joint kernel of the projections acts trivially, so it adds no form.
 
     A coordinate's image depends on its factor but not on the G element,
     so each factor's options are built once per H element and each
     nontrivial one is checked against that H element as it is built: a
-    distinct coordinate is evaluated once, however many forms share it.  The forms are distinct by construction:
+    distinct coordinate is evaluated once, however many forms share it.
+    The forms are distinct by construction:
     they differ in the distinguished factor, its power, the G element or a
     twist, and distinct H elements have distinct section words.
     """
@@ -377,10 +218,7 @@ def torsion_generators(actions: Sequence[CurveAction]) -> list[TorsionElement]:
         raise ValueError("at least one factor required")
     g = acts[0].group
     n = len(acts)
-    out = [
-        TorsionElement(e, (_TRIVIAL_FACTOR,) * n, None)
-        for e in sorted(_common_kernel(acts) - {0})
-    ]
+    out: list[TorsionElement] = []
     fibers = [tuple(a.p_of(e) for a in acts) for e in range(g.order)]
     options: dict[tuple[int, int], list[TorsionFactor]] = {}  # (factor, H element)
     for i, ai in enumerate(acts):
@@ -446,22 +284,31 @@ class Pi1Result:
     """Presentation of the fundamental group plus its provenance."""
 
     presentation: Presentation
-    raw_presentation: Presentation  # diagonal-lift generators, pre-simplification
-    diagonal: DiagonalLiftGroup
+    raw_presentation: Presentation  # orbifold-group generators, pre-simplification
+    actions: tuple[CurveAction, ...]
+    subgroup: SubgroupPresentation  # the orbifold group inside T_1 x ... x T_n
+    offsets: tuple[int, ...]  # first product generator of each factor
     torsion: tuple[TorsionElement, ...]
-    torsion_words: tuple[Word, ...]  # torsion normal forms over diagonal generators
+    torsion_words: tuple[Word, ...]  # torsion normal forms over subgroup generators
     old_to_new: tuple[Word, ...]
-    psi: tuple[int, ...]  # G element per surviving generator
+    psi: tuple[int, ...]  # least G element over each surviving generator's image
     tietze_steps: int
     max_cosets: int  # coset budget of every enumeration on this group
 
+    @property
+    def group(self) -> FiniteGroup:
+        return self.actions[0].group
+
     def transport(self, word: Word) -> Word:
-        """Carry a diagonal-lift word into the simplified presentation."""
+        """Carry a word over the subgroup generators into the simplified
+        presentation."""
         return transport_word(word, self.old_to_new)
 
-    @property
-    def actions(self) -> list[CurveAction]:
-        return [lift.action for lift in self.diagonal.lifts]
+    def product_word(self, parts: Sequence[Word]) -> Word:
+        """The element with the given orbifold word per factor, whose images
+        must lie over one G element, in the simplified presentation."""
+        word = word_product(part.shift(off) for part, off in zip(parts, self.offsets))
+        return self.transport(self.subgroup.rewrite(word))
 
     @cached_property
     def abelianization(self) -> AbelianInvariants:
@@ -485,19 +332,30 @@ class Pi1Result:
         return _order_probe(self.presentation, self.max_cosets)
 
 
-def torsion_word(diag: DiagonalLiftGroup, te: TorsionElement) -> Word:
-    """A torsion normal form as a word over the diagonal lift's generators.
+def torsion_word(
+    subgroup: SubgroupPresentation,
+    offsets: Sequence[int],
+    actions: Sequence[CurveAction],
+    te: TorsionElement,
+    walks: dict[tuple[int, int, TorsionFactor], tuple[list[int], int]],
+) -> Word:
+    """A torsion normal form as a word over the subgroup's generators.
 
-    Each distinct (G element, coordinate) is rewritten into its factor's
-    lift once per lift."""
-    parts = []
-    for lift, f in zip(diag.lifts, te.factors):
-        part = lift.coordinates.get((te.g, f))
-        if part is None:
-            part = lift.rewrite_pair(te.g, f.word(lift.action.vector.genus))
-            lift.coordinates[te.g, f] = part
-        parts.append(part)
-    return diag.rewrite_factors(parts)
+    The form is the product of its coordinates, so it is walked through the
+    coset table one coordinate after another.  walks keeps each (factor,
+    start coset, coordinate) walk: shared across one job's forms, each
+    distinct walk is taken once."""
+    letters: list[int] = []
+    c = 0
+    for j, (a, off, f) in enumerate(zip(actions, offsets, te.factors)):
+        walk = walks.get((j, c, f))
+        if walk is None:
+            walk = walks[j, c, f] = subgroup.walk(c, f.word(a.vector.genus).shift(off))
+        letters += walk[0]
+        c = walk[1]
+    if c:
+        raise RuntimeError("torsion normal form is not in the orbifold group")
+    return word_from_letters(letters)
 
 
 def build_pi1(
@@ -505,27 +363,56 @@ def build_pi1(
     max_cosets: int = DEFAULT_MAX_COSETS,
     tietze_steps: int = DEFAULT_TIETZE_STEPS,
 ) -> Pi1Result:
-    lifts = [lift_group(a, max_cosets, tietze_steps) for a in actions]
-    diag = diagonal_lift_group(lifts, max_cosets)
-    torsion = torsion_generators(actions)
+    """pi1 of the quotient: the orbifold group, the preimage of D(G) in the
+    product of the factors' orbifold groups, modulo its torsion."""
+    acts = tuple(actions)
+    if not acts:
+        raise ValueError("at least one factor required")
+    g = acts[0].group
+    if any(a.group is not g for a in acts):
+        raise ValueError("all factors must share the acting group")
+    orbifolds = [a.orbifold() for a in acts]
+    ambient = direct_product_presentation(orbifolds)
+    offsets = tuple(product_offsets(orbifolds))
+    over: dict[tuple[int, ...], int] = {}  # member of D(G) -> least G element over it
+    for e in range(g.order):
+        over.setdefault(tuple(a.p_of(e) for a in acts), e)
+    images = [a.vector.gen_images() for a in acts]
+    table = fiber_product_table(
+        ambient, [a.acting_group for a in acts], over, images, max_cosets
+    )
+    sub = reidemeister_schreier(ambient, table, prefix="y")
+    torsion = torsion_generators(acts)
+    walks: dict[tuple[int, int, TorsionFactor], tuple[list[int], int]] = {}
     words = []
     for te in torsion:
-        w = torsion_word(diag, te)
+        w = torsion_word(sub, offsets, acts, te, walks)
         if w.is_identity():
             raise RuntimeError("torsion element rewrote to the identity")
         words.append(w)
-    raw = quotient_presentation(diag.presentation, words)
+    raw = quotient_presentation(sub.presentation, words)
     tz = tietze_simplify(raw, tietze_steps)
     positions = {name: i for i, name in enumerate(raw.gens)}
-    psi = tuple(diag.psi[positions[name]] for name in tz.presentation.gens)
+    # Phi's factor j on product generators: the other factors' go to 1
+    phis = [(0,) * off + vals + (0,) * (ambient.ngens - off - len(vals))
+            for off, vals in zip(offsets, images)]
+    psi = []
+    for name in tz.presentation.gens:
+        w = sub.expansions[positions[name]]
+        image = tuple(evaluate_word(w, phi, a.acting_group) for a, phi in zip(acts, phis))
+        if image not in over:
+            raise RuntimeError("a generator's image lies over no acting-group element")
+        psi.append(over[image])
     return Pi1Result(
         tz.presentation,
         raw,
-        diag,
+        acts,
+        sub,
+        offsets,
         tuple(torsion),
         tuple(words),
         tz.old_to_new,
-        psi,
+        tuple(psi),
         tz.steps_used,
         max_cosets,
     )
@@ -535,42 +422,31 @@ def lifted_orbifold_generators(res: Pi1Result, factor: int) -> list[Word]:
     """Images of one factor's orbifold generators in the simplified group.
 
     Each generator is paired with the least G element over its image and
-    completed to an equal-image tuple by the other factors' sections.
+    completed by the other factors' section words over that element.
     """
-    diag = res.diagonal
-    lifts = diag.lifts
-    action = lifts[factor].action
-    g = action.group
+    action = res.actions[factor]
     images = action.vector.gen_images()
     out = []
     for x in range(action.orbifold().ngens):
-        g_idx = next(e for e in range(g.order) if action.p_of(e) == images[x])
-        parts = []
-        for j, lift in enumerate(lifts):
-            if j == factor:
-                parts.append(lift.rewrite_pair(g_idx, Word(((x, 1),))))
-            else:
-                parts.append(lift.section[g_idx])
-        out.append(res.transport(diag.rewrite_factors(parts)))
+        g_idx = next(e for e in range(res.group.order) if action.p_of(e) == images[x])
+        parts = [a.section[a.p_of(g_idx)] for a in res.actions]
+        parts[factor] = Word(((x, 1),))
+        out.append(res.product_word(parts))
     return out
 
 
 def curve_group_image_words(res: Pi1Result) -> list[Word]:
     """Generators of the image of the product of the curve groups.
 
-    Per factor, Schreier generators of the orbifold map's kernel are
-    rewritten into the lift, placed in an otherwise-trivial tuple, and
-    carried through the simplification.
+    Per factor, Schreier generators of the orbifold map's kernel are placed
+    in an otherwise-trivial tuple and carried into the simplified group.
     """
-    diag = res.diagonal
     out = []
-    for j, lift in enumerate(diag.lifts):
-        a = lift.action
-        kws = kernel_subgroup_words(a.vector.gen_images(), a.acting_group)
-        for kw in kws:
-            parts = [Word()] * len(diag.lifts)
-            parts[j] = lift.rewrite_pair(0, kw)
-            out.append(res.transport(diag.rewrite_factors(parts)))
+    for j, a in enumerate(res.actions):
+        for kw in kernel_subgroup_words(a.vector.gen_images(), a.acting_group):
+            parts = [Word()] * len(res.actions)
+            parts[j] = kw
+            out.append(res.product_word(parts))
     return out
 
 
@@ -649,7 +525,7 @@ def _order_probe(p: Presentation, max_cosets: int) -> Optional[int]:
 
 def structure_from_pi1(res: Pi1Result) -> StructureReport:
     acts = res.actions
-    g = res.diagonal.group
+    g = res.group
     n = len(acts)
     notes: list[str] = []
     free = freeness_check(acts)
@@ -801,7 +677,9 @@ def _try_subgroup(
     an automorphism of quo share one) was already rejected."""
     pres = res.presentation
     try:
-        table = fiber_product_table(pres, quo, [values, ()], res.max_cosets)
+        table = fiber_product_table(
+            pres, [quo, quo], ((q, q) for q in range(quo.order)), [values, ()], res.max_cosets
+        )
     except CosetOverflow:
         return None
     key = tuple(map(tuple, table.table))
@@ -821,6 +699,16 @@ def _try_subgroup(
     return None
 
 
+def _canonical_candidate(res: Pi1Result) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """The acting group modulo the stabilizer images, and the image of each
+    simplified generator in it.  psi names a generator's G element only up
+    to the joint kernel, so the closure takes the kernel in too."""
+    g = res.group
+    stabilizers = {te.g for te in res.torsion} | _common_kernel(res.actions)
+    quo, proj = quotient(g, normal_closure(g, stabilizers))
+    return quo, tuple(proj.apply_idx(v) for v in res.psi)
+
+
 def _verify(res: Pi1Result, index_bound: int) -> VerificationReport:
     if index_bound < 1:
         return VerificationReport("INCONCLUSIVE", detail="no search budget")
@@ -833,12 +721,9 @@ def _verify(res: Pi1Result, index_bound: int) -> VerificationReport:
         return VerificationReport(
             "INCONCLUSIVE", detail="quotient signatures are not all hyperbolic"
         )
-    g = res.diagonal.group
     tried: set[tuple[tuple[int, ...], ...]] = set()
-    # canonical candidate: the acting group modulo the stabilizer images
-    quo, proj = quotient(g, normal_closure(g, {te.g for te in res.torsion}))
+    quo, values = _canonical_candidate(res)
     if quo.order <= index_bound:
-        values = tuple(proj.apply_idx(v) for v in res.psi)
         for rel in pres.relators:
             if evaluate_word(rel, values, quo) != 0:
                 raise RuntimeError("acting-group images are not a homomorphism")
@@ -863,6 +748,6 @@ def verify_from_pi1(
     """Search for a finite-index subgroup of pi1 whose abelianization is
     torsion-free of even rank, over quotients of order at most index_bound.
     Each kernel's coset table is read off the quotient (``fiber_product_table``
-    with a trivial second factor); one larger than the coset budget res was
-    built with is skipped."""
+    on the diagonal of quo x quo, with a generator-free second factor); one
+    larger than the coset budget res was built with is skipped."""
     return _verify(res, index_bound)

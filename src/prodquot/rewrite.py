@@ -65,9 +65,14 @@ class SubgroupPresentation:
     labels: list[list[int]]
     expansions: tuple[Word, ...]  # subgroup gen -> ambient word
 
+    def walk(self, coset: int, word: Word) -> tuple[list[int], int]:
+        """Follow an ambient word from a coset: the signed labels it meets
+        and the coset it ends at."""
+        return _walk(self.table.table, self.labels, coset, word_to_cols(word))
+
     def rewrite(self, word: Word) -> Word:
         """Rewrite an ambient word lying in the subgroup."""
-        letters, end = _walk(self.table.table, self.labels, 0, word_to_cols(word))
+        letters, end = self.walk(0, word)
         if end != 0:
             raise WordNotInSubgroup(f"word ends at coset {end}, not 0")
         return word_from_letters(letters)
@@ -222,30 +227,6 @@ def evaluate_word(word: Word, gen_values: Sequence[int], group) -> int:
         for _ in range(e):
             acc = mul[acc][v]
     return acc
-
-
-def finite_group_presentation(group) -> Presentation:
-    """Finite presentation of a permutation group on its own generators.
-
-    Relators are the distinct Schreier generators of the kernel of the free
-    group on the generators (``kernel_subgroup_words``; its shortest-word
-    section is the group's closure word chain), then Tietze-simplified.
-    Cached on the group object.
-    """
-    if group._presentation_cache is not None:
-        return group._presentation_cache
-    from .presentation import tietze_simplify
-
-    k = len(group.generators)
-    relators = tuple(dict.fromkeys(kernel_subgroup_words(group.gen_indices, group)))
-    pres = Presentation(tuple(f"g{i}" for i in range(k)), relators)
-    simplified = tietze_simplify(pres).presentation
-    if simplified.ngens != k:
-        # generator elimination must not change the generating set here;
-        # fall back to the raw Schreier presentation
-        simplified = pres
-    group._presentation_cache = simplified
-    return simplified
 
 
 def bfs_section(group, gen_values: Sequence[int]) -> tuple[Word, ...]:

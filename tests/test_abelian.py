@@ -6,13 +6,12 @@ import tracemalloc
 from importlib import resources
 
 import pytest
-from test_rewrite import BEAUVILLE_JOB
+from test_rewrite import BEAUVILLE_JOB, _kernel_table
 
+import prodquot.product_quotient as pq
 from prodquot.abelian import AbelianInvariants, invariants_from_matrix, smith_diagonal
 from prodquot.cli import parse_job
-from prodquot.coset import fiber_product_table
 from prodquot.orbifold import Signature, orbifold_presentation
-from prodquot.perm import normal_closure, quotient
 from prodquot.presentation import quotient_presentation
 from prodquot.product_quotient import build_pi1
 from prodquot.rewrite import _translated_rows
@@ -381,10 +380,8 @@ def _canonical_candidate_matrix():
     (the kernel of pi1 onto the acting group), as the verify search makes
     them."""
     res = build_pi1(parse_job(json.dumps(BEAUVILLE_JOB)).actions)
-    g = res.diagonal.group
-    quo, proj = quotient(g, normal_closure(g, {te.g for te in res.torsion}))
-    values = [proj.apply_idx(v) for v in res.psi]
-    table = fiber_product_table(res.presentation, quo, [values, ()], res.max_cosets)
+    quo, values = pq._canonical_candidate(res)
+    table = _kernel_table(res.presentation, quo, values, res.max_cosets)
     return _translated_rows(res.presentation, table)
 
 

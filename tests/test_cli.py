@@ -278,7 +278,7 @@ def test_exit_code_overflow_still_writes_report(tmp_path):
 
 
 def test_coset_budget_equal_to_the_lift_index_is_enough(tmp_path):
-    # kummer's lift and diagonal lift both have index 2: the budget is
+    # kummer's orbifold group has index 2 in the product: the budget is
     # compared with the exact index, not with cosets an enumeration defines
     out = tmp_path / "report.json"
     code = main(
@@ -353,7 +353,7 @@ _FROZEN_REPORT_DIGESTS = {
         "af5de3a02260e8304a06f463ff7c7d6564c8692bc3305cb16b3ca8aeecb5e7d0",
     ),
     "klein-mixed-projections": (
-        "7fc5006c908d6d9bdd97ee6cda0ad96b8380b7f10a1b8e4c32724b7680ee3b3b",
+        "b69a767a7851dd5ab32062637dbae9940933644369e87143a232a5fc852e710d",
         "47250ba3e90e8778e7ac129d1fe7b079522b35b26c24f9e359875f88f5b3e82b",
     ),
     "kummer": (
@@ -381,7 +381,7 @@ _FROZEN_REPORT_DIGESTS = {
         "bbda3f2b7f492669a208b68f1da374672874cf604323b02331cd3e3556c9ee85",
     ),
     "s3-sign-mixed": (
-        "62e05551af0b0b58d8093127d21f1801b870aa1bfbdcb5ef26cee3ff132d2671",
+        "7298623fac5f6620e8169a32abc7742db1f79c95fbd4bc533924ecd334c66365",
         "40b683012ea077c4a0b4dc454b7f87a5e34080d795677603382ec81b79647ad1",
     ),
     "trivial-group-surfaces": (
@@ -393,7 +393,7 @@ _FROZEN_REPORT_DIGESTS = {
         "c063b468d648eac9358e7a5cf510e023b7e7df06a3d463dacaef5adcace1e67b",
     ),
     "z2-pure-kernel-pair": (
-        "07178e54ba4174c5e1eba2c7921ed97c0d1e3091c6829c9cb1254c8c7e0667e8",
+        "c214e4534cde3a2b09a61c1cfac828eaced77a8211060f6c06489d3bbd915fd3",
         "11d4700f0b29ac6c05e7b8939562dabe1d251cc80a77006e359552649571db3e",
     ),
     "z2-three-kummer": (
@@ -401,7 +401,7 @@ _FROZEN_REPORT_DIGESTS = {
         "b77e296b8f946680f8fc24634731001f31ae1a1a0dd1f2279fb0e0c37c949039",
     ),
     "z2-trivial-plus-kummer": (
-        "2a8c594d993bdcc7ed647844ffb40397e5318d0ce823db92fa7b40173c2cf997",
+        "56be7b9edf6c8414c01e7f8fabceacab9513ad0fdccb4879c7e1fa7891a46042",
         "c2de62063a75793715d891a0b8bac8085aa611ae7c977a8be7e173a945a9b406",
     ),
     "z3-triangle-pair": (

@@ -120,15 +120,45 @@ def test_overflow_reports_budget():
 
 
 def test_fiber_product_checks_its_budget_and_generators_up_front():
-    # <a, b | [a, b]> onto Z/4 x trivial: index 4
+    # <a, b | [a, b]> onto Z/4 x trivial: the diagonal of Z/4 x Z/4, index 4
     p = presentation(["a", "b"], ["a*b*a^-1*b^-1"])
     z4 = cyclic_group(4)
-    assert fiber_product_table(p, z4, [[1, 0], ()], max_cosets=4).index == 4
+    diagonal = [(q, q) for q in range(4)]
+    assert fiber_product_table(p, [z4, z4], diagonal, [[1, 0], ()], max_cosets=4).index == 4
+
+    class Unread:
+        """A group of order 4 whose elements must not be read."""
+
+        order = 4
+
+        def cayley_table(self):
+            raise AssertionError("a coset was built before the budget check")
+
     with pytest.raises(CosetOverflow) as exc:
-        fiber_product_table(p, z4, [[1, 0], ()], max_cosets=3)
+        fiber_product_table(p, [Unread(), Unread()], diagonal, [[1, 0], ()], max_cosets=3)
     assert exc.value.defined == 4
     with pytest.raises(ValueError, match="one image per generator"):
-        fiber_product_table(p, z4, [[1], ()], max_cosets=4)
+        fiber_product_table(p, [z4, z4], diagonal, [[1], ()], max_cosets=4)
+    with pytest.raises(ValueError, match="onto the first factor"):
+        fiber_product_table(p, [z4, z4], [(0, 0), (2, 2)], [[1, 0], ()], max_cosets=8)
+
+
+def test_fiber_product_keys_a_coset_by_its_least_member_over_one():
+    # D = {(q, q mod 2)} in Z/4 x Z/2 meets 1 x Z/2 trivially, and its
+    # preimage in the free group on a -> (1, 0), b -> (0, 1) is the words
+    # of even length: index 8 / 4 = 2, as Todd-Coxeter finds
+    p = presentation(["a", "b"])
+    z4, z2 = cyclic_group(4), cyclic_group(2)
+    d = [(q, q % 2) for q in range(4)]
+    got = fiber_product_table(p, [z4, z2], d, [[1], [1]], max_cosets=8)
+    want = todd_coxeter(p, [p.word("a^2"), p.word("a*b"), p.word("a*b^-1")])
+    assert (got.table, got.tree) == (want.table, want.tree)
+    # the same D seen from Z/2 x Z/4 has members over 1 that are not 1, so
+    # each key is the least of two
+    swapped = [(b, a) for a, b in d]
+    got = fiber_product_table(p, [z2, z4], swapped, [[1], [1]], max_cosets=8)
+    want = todd_coxeter(p, [p.word("b^2"), p.word("b*a"), p.word("b*a^-1")])
+    assert (got.table, got.tree) == (want.table, want.tree)
 
 
 def test_empty_presentation():

@@ -6,24 +6,23 @@ import time
 
 import pytest
 from test_abelian import _reference_smith
-from test_rewrite import BEAUVILLE_JOB, _reference_rows
+from test_rewrite import BEAUVILLE_JOB, _kernel_table, _reference_rows
 
 import prodquot.product_quotient as pq
 from prodquot.abelian import smith_diagonal
 from prodquot.acceptance import _brute_force_torsion_count
 from prodquot.cli import bundled_job_names, load_bundled_job, parse_job
-from prodquot.coset import CosetOverflow, fiber_product_table, todd_coxeter
+from prodquot.coset import CosetOverflow, todd_coxeter
 from prodquot.orbifold import (
     GeneratingVector,
     Signature,
     enumerate_generating_vectors,
 )
-from prodquot.perm import GroupHom, cyclic_group, normal_closure, quotient, symmetric_group
+from prodquot.perm import GroupHom, cyclic_group, symmetric_group
 from prodquot.presentation import (
     abelian_invariants,
     direct_product_presentation,
     presentation,
-    product_offsets,
     quotient_presentation,
 )
 from prodquot.product_quotient import (
@@ -38,12 +37,13 @@ from prodquot.product_quotient import (
     verify_from_pi1,
 )
 from prodquot.rewrite import (
+    SubgroupPresentation,
     _translated_rows,
     evaluate_word,
     kernel_subgroup_words,
     reidemeister_schreier,
 )
-from prodquot.words import Word, free_reduce, word_product
+from prodquot.words import Word, word_product
 
 
 def _actions(job_name: str):
@@ -70,9 +70,8 @@ def test_kummer_surface_pipeline():
     assert _brute_force_torsion_count(actions) == 32
 
     res = build_pi1(actions, max_cosets=10_000)
-    assert res.diagonal.table.index == g.order ** (len(actions) - 1)
-    for lift in res.diagonal.lifts:
-        assert lift.table.index == lift.action.acting_group.order
+    # both projections are faithful, so D(G) is the diagonal of Z/2 x Z/2
+    assert res.subgroup.table.index == g.order ** (len(actions) - 1)
     assert todd_coxeter(res.presentation, (), max_cosets=10_000).index == 1
 
     inv = abelian_invariants(res.presentation)
@@ -151,7 +150,9 @@ def test_klein_mixed_projection_pipeline():
     assert _brute_force_torsion_count(actions) == 40
 
     res = build_pi1(actions, max_cosets=20_000)
-    assert res.diagonal.table.index == 4
+    # the two projections have different kernels, so D(G) is all of
+    # Z/2 x Z/2 and the orbifold group is the whole product
+    assert res.subgroup.table.index == 1
     # Each factor is an elliptic curve modulo a two-torsion translation plus
     # the hyperelliptic involution, so the quotient is a product of two
     # projective lines: simply connected.
@@ -181,14 +182,15 @@ def test_trivial_group_product_of_surfaces():
 
 def test_pure_kernel_pair():
     actions = _actions("z2-pure-kernel-pair")
-    # Both projections are trivial, so the full group is in every kernel and
-    # the only torsion is the diagonal joint-kernel element.
-    torsion = torsion_generators(actions)
-    assert len(torsion) == 1
-    assert torsion[0].g == 1
-    assert all(f.exponent == 0 for f in torsion[0].factors)
+    # Both projections are trivial, so the full group is the joint kernel:
+    # it acts trivially, the orbifold group is the product of the two
+    # surface groups and there is no torsion.
+    assert torsion_generators(actions) == []
+    assert _brute_force_torsion_count(actions) == 0
 
     res = build_pi1(actions)
+    assert res.subgroup.table.index == 1
+    assert res.torsion == ()
     inv = abelian_invariants(res.presentation)
     assert (inv.free_rank, inv.torsion) == (8, ())
 
@@ -199,6 +201,14 @@ def test_pure_kernel_pair():
     assert rep.e_order_bound == 2
     # The group acts trivially on each factor, so every element fixes points.
     assert not rep.freeness
+    # psi names G elements only up to the joint kernel, so the canonical
+    # candidate divides it out: the acting group mod stabilizers is trivial
+    ver = verify_from_pi1(res, index_bound=8)
+    assert (ver.status, ver.index, ver.quotient) == (
+        "FOUND",
+        1,
+        "acting group mod stabilizers (order 1)",
+    )
 
 
 def test_single_factor_s3_quotient_is_simply_connected():
@@ -337,10 +347,11 @@ TORSION_JOBS = {
 }
 
 
-def _reference_torsion(actions, diag):
+def _reference_torsion(actions, res):
     """The per-element loop: options are built, every coordinate checked and
-    every normal form rewritten once per normal form.  Returns the normal
-    forms, their words over the diagonal lift and the raw presentation."""
+    every normal form rewritten once per normal form, as the product of its
+    coordinates.  Returns the normal forms, their words over the orbifold
+    group's generators and the raw presentation."""
     trivial = pq.TorsionFactor(None, 0, Word())
 
     def key(te):
@@ -356,22 +367,16 @@ def _reference_torsion(actions, diag):
             if got != a.p_of(te.g):
                 raise RuntimeError("torsion coordinate image does not match the fiber")
 
-    def torsion_word(diag, te):
-        parts = []
-        for j, lift in enumerate(diag.lifts):
-            w = te.factors[j].word(lift.action.vector.genus)
-            parts.append(lift.rewrite_pair(te.g, w))
-        return diag.subgroup.rewrite(
-            word_product(part.shift(off) for part, off in zip(parts, diag.offsets))
+    def torsion_word(te):
+        parts = [f.word(a.vector.genus) for a, f in zip(acts, te.factors)]
+        return res.subgroup.rewrite(
+            word_product(part.shift(off) for part, off in zip(parts, res.offsets))
         )
 
     acts = list(actions)
     g = acts[0].group
     n = len(acts)
     out = {}
-    for e in sorted(pq._common_kernel(acts) - {0}):
-        te = pq.TorsionElement(e, (trivial,) * n, None)
-        out[key(te)] = te
     for i in range(n):
         ai = acts[i]
         for q, row in enumerate(ai.powers):
@@ -398,8 +403,8 @@ def _reference_torsion(actions, diag):
                         check_membership(acts, te)
                         out.setdefault(key(te), te)
     torsion = list(out.values())
-    words = [torsion_word(diag, te) for te in torsion]
-    return torsion, words, quotient_presentation(diag.presentation, words)
+    words = [torsion_word(te) for te in torsion]
+    return torsion, words, quotient_presentation(res.subgroup.presentation, words)
 
 
 @pytest.mark.parametrize("name", bundled_job_names() + list(TORSION_JOBS))
@@ -410,10 +415,7 @@ def test_torsion_matches_the_per_element_loop(name):
         job = load_bundled_job(name)
     cosets, steps = job.budgets.max_cosets, job.budgets.tietze_steps
     res = build_pi1(job.actions, cosets, steps)
-    lifts = [pq.lift_group(a, cosets, steps) for a in job.actions]
-    torsion, words, raw = _reference_torsion(
-        job.actions, pq.diagonal_lift_group(lifts, cosets)
-    )
+    torsion, words, raw = _reference_torsion(job.actions, res)
     assert torsion_generators(job.actions) == torsion
     assert res.torsion == tuple(torsion)
     assert res.torsion_words == tuple(words)
@@ -700,32 +702,22 @@ def test_surjections_match_the_letter_by_letter_search_on_a_dihedral_quotient():
     assert sum(found.values()) == 7
 
 
-# Subgroup words that present the same fiber products to Todd-Coxeter: each
-# leading generator completed to an equal-image tuple by the later factors'
-# sections, plus Schreier generators of each later factor's image kernel.
+# Subgroup words that present the orbifold group, the preimage of D(G) under
+# Phi, to Todd-Coxeter: per generator of G, the factors' section words over
+# its images, then the Schreier generators of each factor's kernel of phi.
 
 
-def _lift_words(lift):
-    action, k = lift.action, lift.group_gens
-    g = action.group
+def _orbifold_group_words(res):
+    g = res.group
     words = [
-        Word(((i, 1),)) * action.section[action.p_of(g.element_index(perm))].shift(k)
-        for i, perm in enumerate(g.generators)
+        word_product(
+            a.section[a.p_of(x)].shift(off) for a, off in zip(res.actions, res.offsets)
+        )
+        for x in g.gen_indices
     ]
-    kws = kernel_subgroup_words(action.vector.gen_images(), action.acting_group)
-    return words + [w.shift(k) for w in kws]
-
-
-def _diagonal_words(diag):
-    lifts, offs = diag.lifts, diag.offsets
-    words = []
-    for x, img in enumerate(lifts[0].psi):
-        w = Word(((x, 1),))
-        for j in range(1, len(lifts)):
-            w = w * lifts[j].section[img].shift(offs[j])
-        words.append(w)
-    for j in range(1, len(lifts)):
-        words += [w.shift(offs[j]) for w in kernel_subgroup_words(lifts[j].psi, diag.group)]
+    for a, off in zip(res.actions, res.offsets):
+        kws = kernel_subgroup_words(a.vector.gen_images(), a.acting_group)
+        words += [w.shift(off) for w in kws]
     return words
 
 
@@ -738,10 +730,52 @@ def _assert_same_table(got, ambient, words, max_cosets):
 def test_fiber_product_tables_match_todd_coxeter_on_bundled_lifts(name):
     job = load_bundled_job(name)
     budget = job.budgets.max_cosets
-    diag = build_pi1(job.actions, budget, job.budgets.tietze_steps).diagonal
-    for lift in diag.lifts:
-        _assert_same_table(lift.table, lift.ambient, _lift_words(lift), budget)
-    _assert_same_table(diag.table, diag.ambient, _diagonal_words(diag), budget)
+    res = build_pi1(job.actions, budget, job.budgets.tietze_steps)
+    sub = res.subgroup
+    _assert_same_table(sub.table, sub.ambient, _orbifold_group_words(res), budget)
+
+
+def test_build_pi1_runs_one_rs_and_one_tietze_per_job(monkeypatch):
+    calls = []
+    for name in ("reidemeister_schreier", "tietze_simplify"):
+        original = getattr(pq, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pq, name, counting)
+    for name in bundled_job_names():
+        job = load_bundled_job(name)
+        calls.clear()
+        build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
+        assert calls == ["reidemeister_schreier", "tietze_simplify"], name
+
+
+def test_each_torsion_walk_is_taken_once_per_start_coset(monkeypatch):
+    job = load_bundled_job("z2-three-kummer")
+    res = build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
+    walks = []
+    original = SubgroupPresentation.walk
+
+    def counting(self, coset, word):
+        walks.append((coset, word))
+        return original(self, coset, word)
+
+    monkeypatch.setattr(SubgroupPresentation, "walk", counting)
+    walked = {}
+    words = [
+        pq.torsion_word(res.subgroup, res.offsets, res.actions, te, walked) for te in res.torsion
+    ]
+    assert tuple(words) == res.torsion_words
+    distinct = set()
+    for te in res.torsion:
+        c = 0
+        for j, (a, off, f) in enumerate(zip(res.actions, res.offsets, te.factors)):
+            distinct.add((j, c, f))
+            c = res.subgroup.table.trace(c, f.word(a.vector.genus).shift(off))
+    assert len(walks) == len(distinct)
+    assert len(walks) < len(res.torsion) * len(res.actions)
 
 
 def test_kernel_tables_match_todd_coxeter_on_beauville():
@@ -749,56 +783,29 @@ def test_kernel_tables_match_todd_coxeter_on_beauville():
     # and every surjection onto cyclic(5)
     res = build_pi1(parse_job(json.dumps(BEAUVILLE_JOB)).actions)
     pres = res.presentation
-    g = res.diagonal.group
-    quo, proj = quotient(g, normal_closure(g, {te.g for te in res.torsion}))
-    candidates = [(quo, tuple(proj.apply_idx(v) for v in res.psi))]
+    candidates = [pq._canonical_candidate(res)]
     z5 = cyclic_group(5)
     candidates += [(z5, tup) for tup in pq._surjections(pres, z5)]
     assert len(candidates) == 1 + 124
     for group, values in candidates:
-        table = fiber_product_table(pres, group, [values, ()], res.max_cosets)
+        table = _kernel_table(pres, group, values, res.max_cosets)
         assert table.index == group.order
         _assert_same_table(table, pres, kernel_subgroup_words(values, group), res.max_cosets)
 
 
 # The image index [prod T_i' : im pi1] by enumeration: each factor's orbifold
-# group with the killed period powers added (T_i'), and theta, the orbifold
-# coordinates of the diagonal generators, as the subgroup words.
-
-
-def _orbifold_words(lift):
-    """Orbifold word per simplified lift generator: its second coordinate."""
-    if lift.subgroup is None:
-        return [Word(((x, 1),)) for x in range(lift.presentation.ngens)]
-    k = lift.group_gens
-    raw = lift.subgroup
-    positions = {name: i for i, name in enumerate(raw.presentation.gens)}
-    return [
-        free_reduce((gi - k, e) for gi, e in raw.expansions[positions[name]].letters if gi >= k)
-        for name in lift.presentation.gens
-    ]
+# group with the killed period powers added (T_i'), and the orbifold
+# group's generators, which are words in the factors' generators already,
+# as the subgroup words.
 
 
 def _enumerated_image_index(res):
-    diag = res.diagonal
     killed = []
-    for lift, kill in zip(diag.lifts, res.kills):
-        genus = lift.action.vector.genus
+    for a, kill in zip(res.actions, res.kills):
+        genus = a.vector.genus
         extra = [Word(((2 * genus + q, e),)) for q in sorted(kill) for e in sorted(kill[q])]
-        killed.append(quotient_presentation(lift.action.orbifold(), extra))
-    offs = product_offsets(killed)
-    components = [_orbifold_words(lift) for lift in diag.lifts]
-    theta = []
-    for w in diag.subgroup.expansions:
-        t = Word()
-        for j, lift in enumerate(diag.lifts):
-            lo, hi = diag.offsets[j], diag.offsets[j] + lift.presentation.ngens
-            part = free_reduce((gi - lo, e) for gi, e in w.letters if lo <= gi < hi)
-            tw = Word()
-            for x, e in part.letters:
-                tw = tw * (components[j][x] ** e)
-            t = t * tw.shift(offs[j])
-        theta.append(t)
+        killed.append(quotient_presentation(a.orbifold(), extra))
+    theta = res.subgroup.expansions
     return todd_coxeter(direct_product_presentation(killed), theta, res.max_cosets).index
 
 

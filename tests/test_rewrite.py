@@ -1,4 +1,4 @@
-"""Tests for Reidemeister–Schreier rewriting and finite-group presentations."""
+"""Tests for Reidemeister–Schreier rewriting and finite-group evaluation."""
 
 import json
 import random
@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import prodquot.product_quotient as pq
 from prodquot.cli import bundled_job_names, load_bundled_job, parse_job
 from prodquot.corpus import build_corpus
 from prodquot.coset import fiber_product_table, todd_coxeter
@@ -14,8 +15,6 @@ from prodquot.perm import (
     dihedral_group,
     direct_product_group,
     identity_perm,
-    normal_closure,
-    quotient,
     symmetric_group,
 )
 from prodquot.presentation import abelian_invariants, presentation, tietze_simplify
@@ -25,7 +24,6 @@ from prodquot.rewrite import (
     _schreier_labels,
     _translated_rows,
     evaluate_word,
-    finite_group_presentation,
     kernel_subgroup_words,
     reidemeister_schreier,
     subgroup_abelian_invariants,
@@ -43,21 +41,6 @@ def test_evaluate_word_basics():
     w = Word(((0, 1), (1, 2), (0, -1)))
     expected = g.mul_idx(g.mul_idx(flip, g.mul_idx(cycle, cycle)), g.inv_idx(flip))
     assert evaluate_word(w, [flip, cycle], g) == expected
-
-
-def test_finite_group_presentation_presents_the_group():
-    for g in (cyclic_group(6), symmetric_group(3), dihedral_group(4), symmetric_group(4)):
-        p = finite_group_presentation(g)
-        assert p.ngens == len(g.generators)
-        images = [g.element_index(gen) for gen in g.generators]
-        for rel in p.relators:
-            assert evaluate_word(rel, images, g) == 0
-        assert todd_coxeter(p, (), max_cosets=10_000).index == g.order
-
-
-def test_finite_group_presentation_is_cached():
-    g = dihedral_group(5)
-    assert finite_group_presentation(g) is finite_group_presentation(g)
 
 
 def test_free_group_index_two_subgroup_is_free_of_rank_three():
@@ -135,7 +118,7 @@ def test_rs_rejects_a_table_that_is_not_a_coset_action():
     # a -> 1 in Z/3 does not respect a^2 = 1, so the table read off Z/3 is
     # no coset action of <a | a^2>: the relator's walk does not close
     p = presentation(["a"], ["a^2"])
-    table = fiber_product_table(p, cyclic_group(3), [[1], ()], max_cosets=3)
+    table = _kernel_table(p, cyclic_group(3), [1], max_cosets=3)
     with pytest.raises(ValueError, match="walks from coset 0"):
         reidemeister_schreier(p, table)
     with pytest.raises(ValueError, match="walks from coset 0"):
@@ -278,7 +261,7 @@ def _check_against_reference(ambient, table, seed, normal=False):
     )
     # row for row, in order: smith_diagonal's pivot path depends on it; a
     # table without translated rows (a non-normal subgroup, such as some
-    # lifts and diagonals) has its invariants checked above
+    # orbifold groups) has its invariants checked above
     rows = _translated_rows(ambient, table)
     assert rows is not None or not normal
     if rows is not None:
@@ -311,23 +294,27 @@ def _check_against_reference(ambient, table, seed, normal=False):
                 rewrite(w)
 
 
+def _kernel_table(p, group, values, max_cosets):
+    """Coset table of the kernel of p onto group given by values: the
+    preimage of the diagonal of group x group, with a generator-free second
+    factor."""
+    diagonal = [(q, q) for q in range(group.order)]
+    return fiber_product_table(p, [group, group], diagonal, [values, ()], max_cosets)
+
+
 def _canonical_candidate_table(res):
     """Coset table of the paper's canonical candidate: the kernel of
     pi1 -> G / <stabilizers>."""
-    g = res.diagonal.group
-    quo, proj = quotient(g, normal_closure(g, {te.g for te in res.torsion}))
-    values = [proj.apply_idx(v) for v in res.psi]
-    return fiber_product_table(res.presentation, quo, [values, ()], res.max_cosets)
+    quo, values = pq._canonical_candidate(res)
+    return _kernel_table(res.presentation, quo, values, res.max_cosets)
 
 
 @pytest.mark.parametrize("name", bundled_job_names())
 def test_rs_matches_conjugate_and_rewrite_on_bundled_tables(name):
     job = load_bundled_job(name)
     res = build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
-    diag = res.diagonal
-    for j, lift in enumerate(diag.lifts):
-        _check_against_reference(lift.ambient, lift.table, f"{name}-lift-{j}")
-    _check_against_reference(diag.ambient, diag.table, f"{name}-diagonal")
+    sub = res.subgroup
+    _check_against_reference(sub.ambient, sub.table, f"{name}-orbifold")
     _check_against_reference(
         res.presentation, _canonical_candidate_table(res), f"{name}-canonical", normal=True
     )
@@ -357,10 +344,8 @@ BEAUVILLE_JOB = {
 def test_rs_matches_conjugate_and_rewrite_on_beauville_canonical_candidate():
     job = parse_job(json.dumps(BEAUVILLE_JOB))
     res = build_pi1(job.actions)
-    g = res.diagonal.group
     # the paper's canonical candidate: kernel of pi1 -> G / <stabilizers>
-    quo, proj = quotient(g, normal_closure(g, {te.g for te in res.torsion}))
-    values = [proj.apply_idx(v) for v in res.psi]
+    quo, values = pq._canonical_candidate(res)
     pres = res.presentation
     table = todd_coxeter(pres, kernel_subgroup_words(values, quo))
     assert table.index == quo.order == 25
