@@ -7,10 +7,10 @@ factors' orbifold groups) is built untimed, then two steps are timed:
 coordinate's image) and the torsion words (``torsion_word`` on every
 normal form, the rewrite into the orbifold group, with one memo of walks
 per job).  Both are timed --repeats times in one interpreter; a job's time
-is the median over the repeats, and the total is the sum over the jobs.  A run exits 1 when the sha256 of any
-job's raw pi1 presentation (the orbifold group modulo the torsion words,
-before Tietze) differs from its frozen digest, so a speed change cannot
-change the answer.
+is the median over the repeats, and the total is the sum over the jobs.
+A run exits 1 when the sha256 of any job's raw pi1 presentation (the
+orbifold group modulo the torsion words, before Tietze) differs from its
+frozen digest, so a speed change cannot change the answer.
 
 With --base SRC the script runs pairs: the checkout it lives in and the
 package under SRC (say, the src/ of a clone of the parent commit), each run

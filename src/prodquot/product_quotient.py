@@ -208,10 +208,10 @@ def torsion_generators(actions: Sequence[CurveAction]) -> list[TorsionElement]:
     A coordinate's image depends on its factor but not on the G element,
     so each factor's options are built once per H element and each
     nontrivial one is checked against that H element as it is built: a
-    distinct coordinate is evaluated once, however many forms share it.
-    The forms are distinct by construction:
-    they differ in the distinguished factor, its power, the G element or a
-    twist, and distinct H elements have distinct section words.
+    distinct coordinate is evaluated once, however many forms share it.  The
+    forms are distinct by construction: they differ in the distinguished
+    factor, its power, the G element or a twist, and distinct H elements
+    have distinct section words.
     """
     acts = list(actions)
     if not acts:
@@ -394,8 +394,10 @@ def build_pi1(
     tz = tietze_simplify(raw, tietze_steps)
     positions = {name: i for i, name in enumerate(raw.gens)}
     # Phi's factor j on product generators: the other factors' go to 1
-    phis = [(0,) * off + vals + (0,) * (ambient.ngens - off - len(vals))
-            for off, vals in zip(offsets, images)]
+    phis = [
+        (0,) * off + vals + (0,) * (ambient.ngens - off - len(vals))
+        for off, vals in zip(offsets, images)
+    ]
     psi = []
     for name in tz.presentation.gens:
         w = sub.expansions[positions[name]]
