@@ -15,11 +15,8 @@ frozen digest, so a speed change cannot change the answer.
 With --base SRC the script runs pairs: the checkout it lives in and the
 package under SRC (say, the src/ of a clone of the parent commit), each run
 in a fresh interpreter, the base first in even pairs and second in odd ones,
-and reports the medians over the runs.  A base that still builds pi1 through
-the factor lifts and the diagonal lift (``lift_group``) is timed through
-them, with its own ``torsion_word``.  Its raw presentation differs on the
-four jobs with a non-injective projection, so the base's digests are
-reported but only the checkout's decide the exit code.
+and reports the medians over the runs.  The base's digests are reported,
+but only the checkout's decide the exit code.
 
 Usage:
   python3 benchmarks/bench_torsion.py [--runs N] [--repeats R] [--base SRC] [--json]
@@ -89,33 +86,18 @@ def time_job(name: str, repeats: int) -> dict:
     cosets, steps = job.budgets.max_cosets, job.budgets.tietze_steps
     seconds = {step: [] for step in STEPS}
     for _ in range(repeats):
-        if hasattr(pq, "lift_group"):  # a base that builds pi1 through the lifts
-            lifts = [pq.lift_group(a, cosets, steps) for a in job.actions]
-            diag = pq.diagonal_lift_group(lifts, cosets)
-            subgroup_presentation = diag.presentation
-
-            def rewrite(torsion):
-                return [pq.torsion_word(diag, te) for te in torsion]
-
-        else:
-            res = pq.build_pi1(job.actions, cosets, steps)
-            subgroup_presentation = res.subgroup.presentation
-
-            def rewrite(torsion):
-                walks = {}
-                return [
-                    pq.torsion_word(res.subgroup, res.offsets, res.actions, te, walks)
-                    for te in torsion
-                ]
-
+        res = pq.build_pi1(job.actions, cosets, steps)
         start = time.perf_counter()
         torsion = pq.torsion_generators(job.actions)
         mid = time.perf_counter()
-        words = rewrite(torsion)
+        walks = {}
+        words = [
+            pq.torsion_word(res.subgroup, res.offsets, res.actions, te, walks) for te in torsion
+        ]
         end = time.perf_counter()
         seconds["torsion"].append(mid - start)
         seconds["words"].append(end - mid)
-    raw = quotient_presentation(subgroup_presentation, words)
+    raw = quotient_presentation(res.subgroup.presentation, words)
     return {
         **{step: statistics.median(v) for step, v in seconds.items()},
         "digest": presentation_digest(raw),

@@ -45,7 +45,6 @@ from typing import Any, Optional, Sequence
 from .coset import CosetOverflow
 from .orbifold import (
     GeneratingVector,
-    Signature,
     enumerate_generating_vectors,
 )
 from .perm import (
@@ -65,8 +64,6 @@ from .product_quotient import (
     CurveAction,
     InvalidVector,
     Pi1Result,
-    StructureReport,
-    VerificationReport,
     build_curve_action,
     build_pi1,
     freeness_check,
@@ -368,12 +365,11 @@ def emit_job(job: Job) -> str:
 # Report assembly.
 
 
-def _signature_doc(sig: Signature) -> dict:
-    return {"genus": sig.genus, "periods": list(sig.periods)}
-
-
-def _invariants_doc(inv) -> dict:
-    return {"free_rank": inv.free_rank, "torsion": list(inv.torsion)}
+def _dataclass_doc(obj) -> dict:
+    """A report dataclass as its document: its fields by name, tuples as lists."""
+    return asdict(
+        obj, dict_factory=lambda kv: {k: list(v) if isinstance(v, tuple) else v for k, v in kv}
+    )
 
 
 def _presentation_doc(p: Presentation) -> dict:
@@ -386,34 +382,6 @@ def _presentation_doc(p: Presentation) -> dict:
 def _element_word(group: FiniteGroup, e: int) -> str:
     letters = group.element_word(e)
     return "*".join(f"g{i}" for i in letters) if letters else "1"
-
-
-def _verification_doc(v: VerificationReport) -> dict:
-    return {
-        "status": v.status,
-        "index": v.index,
-        "free_rank": v.free_rank,
-        "order": v.order,
-        "quotient": v.quotient,
-        "invariants": None if v.invariants is None else _invariants_doc(v.invariants),
-        "detail": v.detail,
-    }
-
-
-def _structure_doc(rep: StructureReport) -> dict:
-    return {
-        "quotient_signatures": [_signature_doc(s) for s in rep.quotient_signatures],
-        "t_index_bound": rep.t_index_bound,
-        "t_index_exact": rep.t_index_exact,
-        "e_order_bound": rep.e_order_bound,
-        "e_order_exact": rep.e_order_exact,
-        "freeness": rep.freeness,
-        "abelianization": _invariants_doc(rep.abelianization),
-        "pi1_order": rep.pi1_order,
-        "orbifold_quotient_order": rep.orbifold_quotient_order,
-        "intersection_kernel_order": rep.intersection_kernel_order,
-        "notes": list(rep.notes),
-    }
 
 
 def _pi1_doc(res: Pi1Result, group: FiniteGroup) -> dict:
@@ -525,12 +493,12 @@ def run_job(job: Job, timing: bool = False, quiet: bool = True) -> dict:
                 )
             if "abelianization" in job.outputs:
                 inv = res.abelianization
-                results["abelianization"] = _invariants_doc(inv)
+                results["abelianization"] = _dataclass_doc(inv)
                 _log(quiet, f"abelianization: rank {inv.free_rank}, torsion {list(inv.torsion)}")
             if "structure" in job.outputs:
                 structure_rep, ok = run_stage("structure", lambda: structure_from_pi1(res))
                 if ok:
-                    results["structure"] = _structure_doc(structure_rep)
+                    results["structure"] = _dataclass_doc(structure_rep)
                     _log(
                         quiet,
                         "structure: t-index "
@@ -544,7 +512,7 @@ def run_job(job: Job, timing: bool = False, quiet: bool = True) -> dict:
                     lambda: verify_from_pi1(res, job.budgets.verify_index_bound),
                 )
                 if ok:
-                    results["verify"] = _verification_doc(verification)
+                    results["verify"] = _dataclass_doc(verification)
                     _log(quiet, f"verify: {verification.status}")
 
     if timing:
@@ -610,10 +578,7 @@ def _write(args: argparse.Namespace, text: str) -> None:
 def _job_command(args: argparse.Namespace, outputs: Optional[Sequence[str]]) -> int:
     try:
         job = _read_job(args)
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (OSError, KeyError) as exc:
+    except (ParseError, ValidationError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if outputs is not None:

@@ -120,10 +120,10 @@ def quotient_presentation(p: Presentation, extra: Iterable[Word]) -> Presentatio
 # character per single letter: the signed letter c = +-(gen+1) is
 # chr(base + c), with base the generator count.  The code preserves order, so
 # comparing two strings compares their signed-letter sequences, as the final
-# (length, word) sort and the elimination ranking need.  Inversion is a
-# reversal and one ``translate``, substitution is ``replace`` then one
-# free-reduction pass, and a window of letters is a substring that
-# ``str.find`` can locate.
+# (length, word) sort and the choice of the least generator need.  Inversion
+# is a reversal and one ``translate``, substitution is ``replace`` then one
+# free-reduction pass where letters can cancel, and a window of letters is a
+# substring that ``str.find`` can locate.
 
 _OVERLAP_MAX_RELATORS = 48
 _OVERLAP_MAX_LEN = 512
@@ -185,25 +185,22 @@ class _Code:
 
 
 class _Relator:
-    """One relator's letters and what the simplifier reads off them.  A
-    record's letters never change: a relator whose letters change becomes a
-    new record, with a new stamp (unique within one simplification and
-    increasing) and an empty overlap scan state."""
+    """One relator's letters and its overlap scan state.  A record's letters
+    never change: a relator whose letters change gets a new record, with a
+    new stamp (unique within one simplification and increasing) and an empty
+    scan state."""
 
-    __slots__ = ("word", "key", "gens", "once", "stamp", "misses", "clean", "heads")
+    __slots__ = ("word", "key", "stamp", "misses", "clean", "heads")
 
     def __init__(self, word: str, stamp: int, code: _Code) -> None:
         self.word = word
-        # generators, each coded as its positive letter
-        folded = word.translate(code.fold)
-        gens = self.gens = set(folded)
         # canonical cyclic key: the least rotation of the word or of its
         # inverse, which starts with the least letter of the two, the inverse
         # of the largest generator
         key = word
         if word:
             n = len(word)
-            least = code.inverse_char[max(gens)]
+            least = code.inverse_char[max(word.translate(code.fold))]
             for w in (word, code.inverse(word)):
                 doubled = w + w
                 i = w.find(least)
@@ -213,9 +210,6 @@ class _Relator:
                         key = rotation
                     i = w.find(least, i + 1)
         self.key = key
-        # least generator occurring exactly once, if any
-        once = [g for g in gens if folded.count(g) == 1]
-        self.once = min(once) if once else None
         self.stamp = stamp
         # stamps of the rules known to give this relator no overlap hit
         self.misses: Optional[set[int]] = None
@@ -224,12 +218,6 @@ class _Relator:
         self.clean: Optional[int] = None
         # as a rule: the heads of its variants, in scan order
         self.heads: Optional[list[str]] = None
-
-
-def _dedup(rels: list[_Relator]) -> list[_Relator]:
-    """The first record of each nonempty canonical key, in order."""
-    seen: set[str] = set()
-    return [r for r in rels if r.key and not (r.key in seen or seen.add(r.key))]
 
 
 def _find_overlap(rels: list[_Relator], code: _Code) -> Optional[tuple[int, str]]:
@@ -280,75 +268,6 @@ def _find_overlap(rels: list[_Relator], code: _Code) -> Optional[tuple[int, str]
     return None
 
 
-def _short_pass(words: list[str], code: _Code, budget: int) -> dict[str, str]:
-    """The eliminations by defining relators of length 1 and 2 that the ranked
-    loop would make first, in its order, on bare strings.  Returns the image
-    of both letters of each eliminated generator: "" or one letter.
-
-    ``words`` is the loop's relator list before ``_dedup``, changed in place:
-    a used or trivial relator becomes "".  A short relator kills its
-    generator or renames it to one letter, so no word grows, and only the
-    words holding the generator are touched; they are reduced only where
-    letters can cancel."""
-    inverse_char = code.inverse_char
-    fold = code.fold
-    # positive letter -> slots of the words that may hold it
-    holders: dict[str, list[int]] = {chr(code.base + g + 1): [] for g in range(code.base)}
-    for slot, w in enumerate(words):
-        for g in set(w.translate(fold)):
-            holders[g].append(slot)
-    # (length, slot) of every short word; an entry goes stale when its word
-    # changes, and is dropped when popped
-    heap = [(len(w), slot) for slot, w in enumerate(words) if 0 < len(w) <= 2]
-    heapq.heapify(heap)
-    images: dict[str, str] = {}
-    while heap and len(images) < 2 * budget:  # two images per step
-        n, slot = heapq.heappop(heap)
-        rel = words[slot]
-        if len(rel) != n:
-            continue
-        gens = rel.translate(fold)
-        if n == 2 and gens[0] == gens[1]:
-            continue  # a square: no generator occurs once
-        gen = min(gens)
-        gen_inv = inverse_char[gen]
-        words[slot] = ""
-        pos = rel.find(gen)
-        if pos >= 0:
-            image = code.inverse(rel[pos + 1 :] + rel[:pos])
-        else:
-            pos = rel.find(gen_inv)
-            image = rel[pos + 1 :] + rel[:pos]
-        image_inv = code.inverse(image)
-        images[gen] = image
-        images[gen_inv] = image_inv
-        slots = holders.pop(gen)
-        if image:
-            holders[image.translate(fold)] += slots
-        for s in slots:
-            w = words[s]
-            if gen not in w and gen_inv not in w:
-                continue
-            if image:
-                w = w.replace(gen, image).replace(gen_inv, image_inv)
-                cancels = image + image_inv in w or image_inv + image in w
-            else:
-                pieces = w.replace(gen_inv, gen).split(gen)
-                w = pieces[0]
-                cancels = False
-                for piece in pieces[1:]:
-                    if piece:
-                        if w and w[-1] == inverse_char[piece[0]]:
-                            cancels = True
-                        w += piece
-            if cancels or (w and w[0] == inverse_char[w[-1]]):
-                w = code.reduce(w)
-            words[s] = w
-            if 0 < len(w) <= 2:
-                heapq.heappush(heap, (len(w), s))
-    return images
-
-
 def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
     """Simplify a presentation without ever adding generators.
 
@@ -361,71 +280,112 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
 
     Every word is held as one string in the code of ``_Code``.  The code
     preserves order, so comparing two strings compares their signed letters
-    +-(gen+1) as lists: the elimination ranking and the final (length, word)
-    sort of the relators are those of the signed-letter form.  Relators live
-    in one list of ``_Relator`` records, each holding its canonical cyclic
-    key (for duplicate removal, which keeps the first), its generator set
-    and least once-occurring generator (for elimination, ranked by length,
-    position, generator), and its overlap scan state.  A changed relator is
-    a new record.
+    +-(gen+1) as lists: the final (length, word) sort of the relators is
+    that of the signed-letter form.  Each relator keeps its input position,
+    its slot, for good; duplicate removal keeps the first of each canonical
+    cyclic key, so slot order is list order.
+
+    Elimination takes the relator of least (length, slot) that has a
+    generator occurring exactly once, and eliminates the least such
+    generator.  One heap holds (length, slot) for every relator that may
+    have one; an entry goes stale when its word changes length, and a popped
+    word with no such generator is dropped until a substitution changes its
+    length (a one-letter image that keeps the length only merges generators,
+    so it cannot create one).  Substitution touches the slots that may hold
+    the generator, step by step, and reduces only where letters can cancel.
+    Duplicates need not be removed between eliminations: two relators with
+    one key keep one key under substitution and cyclic reduction, so a later
+    copy never outranks its first copy and becomes empty when that copy
+    defines an elimination.  An exact copy is still blanked as soon as it
+    appears, to spare its substitutions; the full removal by key runs before
+    each overlap scan and at the end, and blanks a later copy for good.
+    Each original generator's image is resolved once, at the end, from the
+    eliminated generators' images: substitution commutes with free
+    reduction.
 
     The overlap phase takes the first hit in rule -> target -> variant ->
     position order, where a variant is a rotation of the rule or of its
     inverse and its first ``len // 2 + 1`` letters (the head) are replaced by
-    the inverse of the rest.  A pair's outcome depends only on the two
-    relators' letters, so it is searched again only after one of them
-    changed, and the hits stay in order.  Records are stamped in build order;
-    a rule that gave no hit on any target is searched again only against the
-    targets built since, and each target remembers the stamps of the rules
-    that missed it.  A rule's heads are cut once per record, and a head's
-    first position in a target is one ``str.find``.
-
-    Before any record is built, ``_short_pass`` makes the eliminations by
-    relators of length 1 and 2 that the ranked loop would make first: while
-    any such relator has a once-occurring generator, the loop picks one of
-    them, and the pass picks the same one from a heap keyed by (length,
-    position), substituting step by step (composing the substitutions and
-    reducing once would leave other rotations).  It works on the relator
-    list before duplicate removal.  That leaves the result unchanged: two
-    relators with one canonical key keep one key under substitution and
-    cyclic reduction, so a later copy, which has the length and the
-    once-occurring generator of its first copy but a later position, never
-    outranks it, and it becomes empty when that copy defines an elimination.
-    The records are then built once, for the survivors, and deduplicated.
+    the inverse of the rest.  It runs when no elimination is left, over one
+    ``_Relator`` record per slot, kept while the slot's letters do not
+    change.  A pair's outcome depends only on the two relators' letters, so
+    it is searched again only after one of them changed, and the hits stay
+    in order.  Records are stamped in build order; a rule that gave no hit
+    on any target is searched again only against the targets built since,
+    and each target remembers the stamps of the rules that missed it.  A
+    rule's heads are cut once per record, and a head's first position in a
+    target is one ``str.find``.
     """
     code = _Code(p.ngens)
     inverse_char = code.inverse_char
-    # a Word is freely reduced, so only a cyclic trim can apply
-    words = [code.encode(r) for r in p.relators]
-    words = [code.reduce(w) if w and w[0] == inverse_char[w[-1]] else w for w in words]
-    images = _short_pass(words, code, budget)
-    steps = len(images) // 2
-    # original generator -> word over current generators; a short step maps a
-    # letter to a letter or to nothing, so no reduction is due and following
-    # the images gives the word that substituting step by step would
-    old_to_new = []
-    for g in range(p.ngens):
-        w = chr(code.base + g + 1)
-        while w in images:
-            w = images[w]
-        old_to_new.append(w)
-    # dead generators keep their letters until the final renumbering so that
-    # untouched relators keep their records
-    alive = [chr(code.base + g + 1) not in images for g in range(p.ngens)]
+    fold = code.fold
+    nslots = len(p.relators)
+    words = [""] * nslots
+    records: list[Optional[_Relator]] = [None] * nslots
+    slot_of: dict[str, int] = {}  # nonempty word -> its slot; no two slots hold one word
+
+    def put(slot: int, w: str) -> bool:
+        """Store ``w`` at ``slot`` and blank the later of two exact copies;
+        return whether ``slot`` now holds a nonempty word."""
+        records[slot] = None
+        if words[slot]:
+            del slot_of[words[slot]]
+        t = slot_of.get(w)
+        if t is not None:
+            if t < slot:
+                words[slot] = ""
+                return False
+            words[t] = ""
+            records[t] = None
+        words[slot] = w
+        if w:
+            slot_of[w] = slot
+        return bool(w)
+
+    # positive letter -> slots of the words that may hold it
+    holders: dict[str, set[int]] = {chr(code.base + g + 1): set() for g in range(p.ngens)}
+    for slot, r in enumerate(p.relators):
+        # a Word is freely reduced, so only a cyclic trim can apply
+        w = code.encode(r)
+        put(slot, code.reduce(w) if w and w[0] == inverse_char[w[-1]] else w)
+        for g in set(w.translate(fold)):
+            holders[g].add(slot)
+    # (length, slot) entries, coded as length * nslots + slot; sorted is a heap
+    heap = sorted(len(w) * nslots + slot for slot, w in enumerate(words) if w)
     new_stamp = itertools.count().__next__
-    rels = _dedup([_Relator(w, new_stamp(), code) for w in words if w])
-    changed = True
-    while changed and steps < budget:
-        changed = False
-        # generator elimination: prefer the shortest defining relator
-        best = min(
-            ((len(r.word), ri, r.once) for ri, r in enumerate(rels) if r.once is not None),
-            default=None,
-        )
-        if best is not None:
-            _, ri, gen = best
-            rel = rels.pop(ri).word
-            gen_inv = code.inverse_char[gen]
+
+    def live() -> tuple[list[_Relator], list[int]]:
+        """The records of the nonempty words and their slots, in slot order,
+        after blanking for good each later copy of a canonical key."""
+        rels: list[_Relator] = []
+        slots: list[int] = []
+        keys: set[str] = set()
+        for slot in sorted(slot_of.values()):
+            rec = records[slot]
+            if rec is None:
+                rec = records[slot] = _Relator(words[slot], new_stamp(), code)
+            if rec.key in keys:
+                put(slot, "")
+            else:
+                keys.add(rec.key)
+                rels.append(rec)
+                slots.append(slot)
+        return rels, slots
+
+    images: dict[str, str] = {}  # eliminated generator -> its image, in elimination order
+    steps = 0
+    while slot_of and steps < budget:
+        if heap:
+            n, slot = divmod(heapq.heappop(heap), nslots)
+            rel = words[slot]
+            if len(rel) != n:
+                continue
+            folded = rel.translate(fold)
+            once = [g for g in set(folded) if folded.count(g) == 1]
+            if not once:
+                continue
+            gen = min(once)
+            gen_inv = inverse_char[gen]
             pos = rel.find(gen)
             if pos >= 0:
                 image = code.inverse(rel[pos + 1 :] + rel[:pos])
@@ -433,48 +393,74 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
                 pos = rel.find(gen_inv)
                 image = rel[pos + 1 :] + rel[:pos]
             image_inv = code.inverse(image)
-
-            def substitute(w: str, cyclic: bool = True) -> str:
-                return code.reduce(w.replace(gen, image).replace(gen_inv, image_inv), cyclic)
-
-            rels = _dedup(
-                [
-                    _Relator(substitute(r.word), new_stamp(), code) if gen in r.gens else r
-                    for r in rels
-                ]
-            )
-            for i, w in enumerate(old_to_new):
-                if gen in w or gen_inv in w:
-                    old_to_new[i] = substitute(w, cyclic=False)
-            alive[ord(gen) - code.base - 1] = False
+            images[gen] = image
+            put(slot, "")
+            changed = []
+            head, tail = image[:1], image[-1:]
+            for s in holders.pop(gen):
+                w = words[s]
+                if gen not in w and gen_inv not in w:
+                    continue
+                # w is cyclically reduced and the image freely reduced, so
+                # letters can cancel only where an image meets a neighbour
+                if image:
+                    new = w.replace(gen, image).replace(gen_inv, image_inv)
+                    cancels = inverse_char[head] + head in new or tail + inverse_char[tail] in new
+                else:
+                    pieces = w.replace(gen_inv, gen).split(gen)
+                    new = pieces[0]
+                    cancels = False
+                    for piece in pieces[1:]:
+                        if piece:
+                            if new and new[-1] == inverse_char[piece[0]]:
+                                cancels = True
+                            new += piece
+                if cancels or (new and new[0] == inverse_char[new[-1]]):
+                    new = code.reduce(new)
+                if put(s, new):
+                    changed.append(s)
+                    if len(image) != 1 or len(new) != len(w):
+                        heapq.heappush(heap, len(new) * nslots + s)
+            for g in set(image.translate(fold)):
+                holders[g].update(changed)
             steps += 1
-            changed = True
             continue
-        # overlap substitution, gated by size
-        if len(rels) <= _OVERLAP_MAX_RELATORS:
-            hit = _find_overlap(rels, code)
-            if hit is not None:
-                # The result is always shorter: a rule of length l trades
-                # l // 2 + 1 letters for l - (l // 2 + 1) and reduction only cuts.
-                # An empty result is dropped with the duplicates.
-                j, newrel = hit
-                rels[j] = _Relator(newrel, new_stamp(), code)
-                steps += 1
-                rels = _dedup(rels)
-                changed = True
+        rels, slots = live()
+        if len(rels) > _OVERLAP_MAX_RELATORS:
+            break
+        hit = _find_overlap(rels, code)
+        if hit is None:
+            break
+        # The result is always shorter: a rule of length l trades l // 2 + 1
+        # letters for l - (l // 2 + 1) and reduction only cuts.
+        j, new = hit
+        if put(slots[j], new):
+            heapq.heappush(heap, len(new) * nslots + slots[j])
+            for g in set(new.translate(fold)):
+                holders[g].add(slots[j])
+        steps += 1
 
-    # renumber the surviving generators 0, 1, ...; the map preserves order
+    # each original generator's image over the survivors, last elimination first
     base = code.base
+    resolved: dict[int, str] = {}
+    for gen, image in reversed(images.items()):
+        w = code.reduce(image.translate(resolved), cyclic=False)
+        resolved[ord(gen)] = w
+        resolved[ord(inverse_char[gen])] = code.inverse(w)
+    # renumber the surviving generators 0, 1, ...; the map preserves order
     renumber: dict[int, int] = {}
     kept_names = []
-    for g, keep in enumerate(alive):
-        if keep:
-            kept_names.append(p.gens[g])
+    for g, name in enumerate(p.gens):
+        if chr(base + g + 1) not in images:
+            kept_names.append(name)
             renumber[base + g + 1] = base + len(kept_names)
             renumber[base - g - 1] = base - len(kept_names)
-    work = sorted((r.word.translate(renumber) for r in rels), key=lambda w: (len(w), w))
+    work = sorted((r.word.translate(renumber) for r in live()[0]), key=lambda w: (len(w), w))
     out = Presentation(tuple(kept_names), tuple(code.decode(w) for w in work))
-    mapping = tuple(code.decode(w.translate(renumber)) for w in old_to_new)
+    mapping = tuple(
+        code.decode(chr(base + g + 1).translate(resolved).translate(renumber))
+        for g in range(p.ngens)
+    )
     return TietzeResult(out, mapping, steps)
 
 

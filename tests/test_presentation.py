@@ -1,6 +1,7 @@
 """Tests for finite presentations and Tietze simplification."""
 
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -20,7 +21,6 @@ from prodquot.presentation import (
     _OVERLAP_RULE_MAX,
     _TIETZE_MAX_GENS,
     _Code,
-    _short_pass,
     abelian_invariants,
     direct_product_presentation,
     presentation,
@@ -292,7 +292,11 @@ def _substitute(letters: list[int], gen: int, image: list[int]) -> list[int]:
     return _reduce_letters(out)
 
 
-def _reference_tietze(p: Presentation, budget: int = 10000) -> TietzeResult:
+def _reference_tietze(
+    p: Presentation, budget: int = 10000, trace: Optional[list] = None
+) -> TietzeResult:
+    """``trace``, if given, gets one entry per step: the length of the
+    defining relator of an elimination, None for an overlap substitution."""
     work = [_cyclic_reduce(signed_letters(r)) for r in p.relators]
     work = [w for w in work if w]
     names = list(p.gens)
@@ -344,6 +348,8 @@ def _reference_tietze(p: Presentation, budget: int = 10000) -> TietzeResult:
             pos = next(i for i, c in enumerate(rel) if abs(c) - 1 == gen)
             rest = rel[pos + 1 :] + rel[:pos]
             image = _inv_letters(rest) if rel[pos] > 0 else list(rest)
+            if trace is not None:
+                trace.append(len(rel))
             del work[ri], keys[ri], gsets[ri], onces[ri]
             for i in range(len(work)):
                 if gen in gsets[i]:
@@ -388,6 +394,8 @@ def _reference_tietze(p: Presentation, budget: int = 10000) -> TietzeResult:
                                     else:
                                         del work[j], keys[j], gsets[j], onces[j]
                                     steps += 1
+                                    if trace is not None:
+                                        trace.append(None)
                                     hit = True
                                     break
                         if hit:
@@ -501,9 +509,10 @@ def test_short_eliminations_match_reference_on_random_presentations():
     for seed in range(400):
         rng = random.Random(seed)
         p = _short_presentation(rng)
-        code = _Code(p.ngens)
-        words = [code.reduce(code.encode(r)) for r in p.relators]
-        short_steps = len(_short_pass(words, code, 10000)) // 2
+        trace: list[Optional[int]] = []
+        _reference_tietze(p, 10000, trace)
+        # the eliminations by relators of length 1 and 2 that come first
+        short_steps = len(list(itertools.takewhile(lambda n: n is not None and n <= 2, trace)))
         for budget in (*range(9), 10000):
             assert tietze_simplify(p, budget) == _reference_tietze(p, budget), (seed, budget)
             cut_short += 0 < budget < short_steps
@@ -523,6 +532,26 @@ def test_short_eliminations_substitute_step_by_step():
     assert res == _reference_tietze(p)
     assert res.presentation.relator_texts() == ["x3*x1*x3^-1*x1^-1"]
     assert [res.presentation.text(w) for w in res.old_to_new] == ["x3", "x1", "x3^-1", "x3"]
+
+
+@pytest.mark.parametrize(
+    "relators",
+    [
+        # x2 = x3 makes the second relator a copy of the first, and the first
+        # then defines the elimination of x0
+        ["x0*x1^2*x3^2", "x0*x1^2*x2^2", "x2*x3^-1", "x1^5", "x0*x3*x0^-1*x3^-2"],
+        # ... a copy of a later relator
+        ["x0*x1^2*x2^2", "x2*x3^-1", "x0*x1^2*x3^2", "x1^5", "x1*x3*x1^-1*x3^-2"],
+        # ... a rotation of an earlier relator, and the inverse of a later one
+        ["x1^2*x3^2*x0^2", "x0^2*x1^2*x2^2", "x2*x3^-1", "x3^-2*x1^-2*x0^-2", "x1*x0^3"],
+    ],
+    ids=["earlier", "later", "rotation"],
+)
+def test_a_substitution_that_makes_a_copy_matches_reference_at_every_budget(relators):
+    p = presentation(["x0", "x1", "x2", "x3"], relators)
+    full = _reference_tietze(p)
+    for budget in range(full.steps_used + 2):
+        assert tietze_simplify(p, budget) == _reference_tietze(p, budget), budget
 
 
 def _classify_job(name, group, vectors):
