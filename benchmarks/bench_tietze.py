@@ -6,22 +6,25 @@ in pipebench/frozen/classify_pool.json (read, never written).  Each raw pi1
 presentation has 57 generators and 176 relators, and most of a run goes to
 the overlap phase of ``tietze_simplify``.  Each measurement is one job in a
 fresh interpreter: ``parse_job`` -> ``run_job`` -> ``render_report``, the
-work of ``prodquot run``, timed once.  For each job and package, a second
+work of ``prodquot run``, timed --repeats times; the measurement is the
+fastest repeat, since a job timed once per interpreter moved by 10-20%
+between identical runs on a shared host.  For each job and package, a second
 interpreter runs the job once more under ``tracemalloc`` and records its peak
 of traced memory; tracing slows the run many times over, so a traced run past
 --trace-limit seconds is stopped and its peak left unmeasured (null).  A run
 exits 1 when the sha256 of any report differs from its frozen digest, so a
-speed change cannot change an answer.
+speed change cannot change an answer (every repeat's report is checked).
 
 With --base SRC the script runs pairs: the checkout it lives in and the
 package under SRC (say, the src/ of a clone of the parent commit), the base
-first in even pairs and second in odd ones, and reports per-job medians.  A
-base job that runs past --base-limit seconds is stopped and counted as
-unfinished; it is then timed on this checkout only.
+first in even pairs and second in odd ones, and reports per-job medians of
+the runs' fastest repeats.  A base job whose run passes --base-limit seconds
+is stopped and counted as unfinished; it is then timed on this checkout
+only.
 
 Usage:
-  python3 benchmarks/bench_tietze.py [--runs N] [--base SRC] [--base-limit S]
-                                     [--trace-limit S] [--json]
+  python3 benchmarks/bench_tietze.py [--runs N] [--repeats R] [--base SRC]
+                                     [--base-limit S] [--trace-limit S] [--json]
 """
 
 from __future__ import annotations
@@ -80,10 +83,12 @@ def _alarm(signum, frame):
     raise _Limit()
 
 
-def run_once(name: str, trace: bool, limit: float) -> dict:
-    """One run of one job in this interpreter; "s" is None past the limit.
-    The collector runs first, so the traced peak does not depend on how much
-    garbage the imports left behind."""
+def run_once(name: str, trace: bool, limit: float, repeats: int) -> dict:
+    """One job in this interpreter: the fastest of ``repeats`` runs, or one
+    run under tracemalloc with ``trace``; "s" is None once a run passes the
+    limit, and "digest" is None when the repeats' reports differ.  The
+    collector runs before tracing, so the traced peak does not depend on how
+    much garbage the imports left behind."""
     import gc
     import tracemalloc
 
@@ -91,40 +96,46 @@ def run_once(name: str, trace: bool, limit: float) -> dict:
 
     text = load_jobs()[name]
     signal.signal(signal.SIGALRM, _alarm)
-    if limit:
-        signal.setitimer(signal.ITIMER_REAL, limit)
-    if trace:
-        gc.collect()
-        tracemalloc.start()
-    start = time.perf_counter()
-    try:
-        report = render_report(run_job(parse_job(text)))
-    except _Limit:
-        return {"s": None}
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-    seconds = time.perf_counter() - start
-    out = {"s": round(seconds, 4), "digest": hashlib.sha256(report.encode()).hexdigest()}
+    seconds, digests = [], set()
+    for _ in range(1 if trace else repeats):
+        if limit:
+            signal.setitimer(signal.ITIMER_REAL, limit)
+        if trace:
+            gc.collect()
+            tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            report = render_report(run_job(parse_job(text)))
+        except _Limit:
+            return {"s": None}
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        seconds.append(time.perf_counter() - start)
+        digests.add(hashlib.sha256(report.encode()).hexdigest())
+    out = {"s": round(min(seconds), 4), "digest": digests.pop() if len(digests) == 1 else None}
     if trace:
         out["peak_mb"] = round(tracemalloc.get_traced_memory()[1] / 1e6, 3)
         tracemalloc.stop()
     return out
 
 
-def run_child(src: str, name: str, trace: bool, limit: float) -> dict:
+def run_child(src: str, name: str, trace: bool, limit: float, repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=src)
     cmd = [sys.executable, os.path.abspath(__file__), "--child", name, "--limit", str(limit)]
+    cmd += ["--repeats", str(repeats)]
     if trace:
         cmd.append("--trace")
     out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
 
-def measure(src: str, name: str, runs: list[dict], limit: float, trace_limit: float) -> None:
+def measure(
+    src: str, name: str, runs: list[dict], limit: float, trace_limit: float, repeats: int
+) -> None:
     """Append one timed run; the first one of a job also records its traced peak."""
-    run = run_child(src, name, False, limit)
+    run = run_child(src, name, False, limit, repeats)
     if not runs and run["s"] is not None:
-        run["peak_mb"] = run_child(src, name, True, trace_limit).get("peak_mb")
+        run["peak_mb"] = run_child(src, name, True, trace_limit, 1).get("peak_mb")
     runs.append(run)
 
 
@@ -144,6 +155,9 @@ def summarize(runs: list[dict]) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=3, help="runs per job (pairs with --base)")
+    parser.add_argument(
+        "--repeats", type=int, default=5, help="timed repeats per run; a run keeps the fastest"
+    )
     parser.add_argument("--base", help="src directory of the package to compare against")
     parser.add_argument(
         "--base-limit", type=float, default=60.0, help="seconds before a base job is stopped"
@@ -158,7 +172,7 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.child:
-        print(json.dumps(run_once(args.child, args.trace, args.limit)))
+        print(json.dumps(run_once(args.child, args.trace, args.limit, args.repeats)))
         return 0
 
     here_src = os.path.join(ROOT, "src")
@@ -169,10 +183,10 @@ def main() -> int:
         for k in range(args.runs):
             base_due = args.base and not (before and before[0]["s"] is None)
             if base_due and k % 2 == 0:
-                measure(args.base, name, before, args.base_limit, args.trace_limit)
-            measure(here_src, name, after, 0, args.trace_limit)
+                measure(args.base, name, before, args.base_limit, args.trace_limit, args.repeats)
+            measure(here_src, name, after, 0, args.trace_limit, args.repeats)
             if base_due and k % 2 == 1:
-                measure(args.base, name, before, args.base_limit, args.trace_limit)
+                measure(args.base, name, before, args.base_limit, args.trace_limit, args.repeats)
         entry = {"after": summarize(after)}
         entry["after"]["digest_ok"] &= entry["after"]["digest"] == REPORT_DIGESTS[name]
         if before:
@@ -187,6 +201,7 @@ def main() -> int:
         "python": platform.python_version(),
         "git_sha": git_sha(),
         "runs": args.runs,
+        "repeats": args.repeats,
         "jobs": jobs,
     }
     sides = [entry[k] for entry in jobs.values() for k in ("before", "after") if k in entry]

@@ -358,7 +358,7 @@ def parse_job(document: str) -> Job:
 
 def emit_job(job: Job) -> str:
     """Serialize a job back to its document form (parse_job round-trips it)."""
-    return json.dumps(job.raw, indent=2, sort_keys=True) + "\n"
+    return _emit(job.raw, "\n") + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +521,53 @@ def run_job(job: Job, timing: bool = False, quiet: bool = True) -> dict:
 
 
 def render_report(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report's text: ``json.dumps(report, indent=2, sort_keys=True)`` and a newline."""
+    return _emit(report, "\n") + "\n"
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _emit(value: Any, nl: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    With an ``indent``, ``json`` falls back to its pure-Python encoder; this
+    emitter builds the same text from one string per value.  ``nl`` is a
+    newline plus the indent of the line the value starts on.  A list or
+    tuple of strings is one ``join``; dicts with ``str`` keys, lists and
+    tuples recurse, and every other value (floats, subclasses, dicts with
+    other keys, objects ``json`` rejects) goes to ``json.dumps`` itself,
+    re-indented to its depth.
+    """
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = nl + "  "
+        try:
+            body = ("," + inner).join(map(_encode_str, value))
+        except TypeError:
+            body = ("," + inner).join([_emit(v, inner) for v in value])
+        return f"[{inner}{body}{nl}]"
+    if kind is dict and value:
+        inner = nl + "  "
+        try:
+            items = [f"{_encode_str(k)}: {_emit(v, inner)}" for k, v in sorted(value.items())]
+        except TypeError:
+            pass  # a key that is not a str, or a value json rejects: json decides
+        else:
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
 
 
 # ---------------------------------------------------------------------------

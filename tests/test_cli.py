@@ -13,6 +13,7 @@ import pytest
 import prodquot
 import prodquot.presentation as presentation_module
 from prodquot.cli import (
+    ALL_OUTPUTS,
     DEFAULT_OUTPUTS,
     ParseError,
     EXIT_OK,
@@ -106,6 +107,48 @@ def test_bundled_jobs_parse_and_round_trip():
         emitted = emit_job(job)
         assert emitted == text, name
         assert parse_job(emitted).raw == job.raw, name
+
+
+def _json_text(doc) -> str:
+    """The text render_report and emit_job must produce, from json itself."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("max_cosets", [None, 3])
+def test_render_report_matches_json_on_bundled_reports(max_cosets):
+    # every output with timing; at 3 cosets the pi1 stages overflow into markers
+    overflowed = 0
+    for name in bundled_job_names():
+        job = load_bundled_job(name).with_outputs(ALL_OUTPUTS)
+        if max_cosets is not None:
+            job = job.with_budgets(max_cosets=max_cosets)
+        report = run_job(job, timing=True)
+        overflowed += report["status"] == "overflow"
+        assert render_report(report) == _json_text(report), name
+    assert (overflowed > 0) == (max_cosets is not None)
+
+
+def test_emit_job_matches_json_on_bundled_jobs():
+    for name in bundled_job_names():
+        job = load_bundled_job(name)
+        assert emit_job(job) == _json_text(job.raw), name
+
+
+def test_render_report_matches_json_on_awkward_values():
+    doc = {
+        "ascii \"quoted\" back\\slash \x00\x1f\t\n": ["é ∞ \U0001f600", "\"", "\\", "\x07\x7f"],
+        "naïve": {"ключ": "значение", "tab\tkey": "line\nbreak"},
+        "tuples": (1, ("a", "b"), (), ((),)),
+        "flags": [True, False, None, [None, True]],
+        "mixed": ["s", 1, -2, 2**70, 1.5, None, {"k": "v"}, ["x"], (), {}],
+        "floats": [0.1, 1e-7, float("inf"), float("-inf"), float("nan"), -0.0],
+        "float": 0.1,
+        "empty": [[], {}, [[]], [{}], {"e": []}, {"d": {}}],
+        "int keys": {2: "two", 10: ["ten"], -1: {3: (4,)}},
+        "": "",
+    }
+    assert render_report(doc) == _json_text(doc)
+    assert render_report({}) == _json_text({})
 
 
 def test_reports_are_byte_identical_across_runs():
