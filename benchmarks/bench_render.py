@@ -12,6 +12,11 @@ in turns (``json`` first in even runs, second in odd ones), and a set's
 time is the fastest of --runs runs.  A run exits 1 when any rendered text
 differs from ``json``'s, so a speed change cannot change a report.
 
+It also times ``cli._enumerate_doc``, which builds the ``enumerate``
+sections (the generating vectors, most of the classify reports' text), over
+the actions of every classify-pool job, parsed once: the fastest of --runs
+passes.
+
 Usage:
   python3 benchmarks/bench_render.py [--runs N] [--json]
 """
@@ -31,6 +36,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from prodquot.cli import (  # noqa: E402
     ALL_OUTPUTS,
+    _enumerate_doc,
     bundled_job_names,
     load_bundled_job,
     parse_job,
@@ -45,12 +51,16 @@ def json_text(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def build_reports() -> dict[str, list[dict]]:
-    """Set name -> its reports, each built once."""
+def pool_jobs() -> list:
     with open(POOL_FILE, encoding="utf-8") as fh:
         pool = json.load(fh)
+    return [parse_job(text) for stratum in pool for text in stratum["docs"]]
+
+
+def build_reports(jobs: list) -> dict[str, list[dict]]:
+    """Set name -> its reports, each built once."""
     return {
-        "classify-pool": [run_job(parse_job(text)) for stratum in pool for text in stratum["docs"]],
+        "classify-pool": [run_job(job) for job in jobs],
         "bundled-all-outputs": [
             run_job(load_bundled_job(name).with_outputs(ALL_OUTPUTS), timing=True)
             for name in bundled_job_names()
@@ -65,15 +75,23 @@ def time_set(render, reports: list[dict]) -> float:
     return time.perf_counter() - start
 
 
+def time_enumerate(jobs: list) -> float:
+    start = time.perf_counter()
+    for job in jobs:
+        _enumerate_doc(job.actions)
+    return time.perf_counter() - start
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=7, help="timed runs; a set keeps the fastest")
     parser.add_argument("--json", action="store_true", help="emit the results as JSON")
     args = parser.parse_args()
 
+    jobs = pool_jobs()
     sets = {}
     identical = True
-    for name, reports in build_reports().items():
+    for name, reports in build_reports(jobs).items():
         texts = [json_text(r) for r in reports]
         same = all(render_report(r) == t for r, t in zip(reports, texts))
         identical &= same
@@ -92,11 +110,13 @@ def main() -> int:
             "speedup": round(best["json"] / best["render_report"], 2),
             "identical": same,
         }
+    enumerate_s = min(time_enumerate(jobs) for _ in range(args.runs))
     doc = {
         "python": platform.python_version(),
         "git_sha": git_sha(),
         "runs": args.runs,
         "sets": sets,
+        "classify_pool_enumerate_doc_s": round(enumerate_s, 4),
     }
     if args.json:
         print(json.dumps(doc, indent=1))
@@ -108,6 +128,7 @@ def main() -> int:
             f"{name:22}{s['reports']:>9}{s['mb']:>8.2f}{s['json_s']:>10.4f}"
             f"{s['render_report_s']:>10.4f}{s['speedup']:>8.2f}x"
         )
+    print(f"_enumerate_doc over the classify pool: {enumerate_s:.4f} s")
     print(f"rendered text {'identical to json' if identical else 'DIFFERS from json'}")
     return 0 if identical else 1
 

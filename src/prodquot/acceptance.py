@@ -127,12 +127,7 @@ def criterion_3() -> CriterionResult:
     words = kernel_subgroup_words(res.psi, job.group)
     table = todd_coxeter(res.presentation, words, max_cosets=job.budgets.max_cosets)
     inv = subgroup_abelian_invariants(res.presentation, table)
-    ok = (
-        free.is_free
-        and not res.torsion
-        and table.index == 2
-        and inv == AbelianInvariants(12)
-    )
+    ok = free.is_free and not res.torsion and table.index == 2 and inv == AbelianInvariants(12)
     return _result(
         3,
         "free involution exactness",

@@ -43,10 +43,7 @@ from importlib import resources
 from typing import Any, Optional, Sequence
 
 from .coset import CosetOverflow
-from .orbifold import (
-    GeneratingVector,
-    enumerate_generating_vectors,
-)
+from .orbifold import GeneratingVector, enumerate_generating_vectors
 from .perm import (
     FiniteGroup,
     GroupHom,
@@ -213,11 +210,7 @@ def _parse_projection(
     ]
     nontrivial = [p for p in perms if not p.is_identity()]
     try:
-        target = (
-            FiniteGroup(nontrivial, degree=degree)
-            if nontrivial
-            else trivial_group(degree)
-        )
+        target = FiniteGroup(nontrivial, degree=degree) if nontrivial else trivial_group(degree)
         hom = GroupHom(group, target, [target.element_index(p) for p in perms])
     except (GroupTooLarge, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc
@@ -395,25 +388,27 @@ def _pi1_doc(res: Pi1Result, group: FiniteGroup) -> dict:
 
 
 def _enumerate_doc(actions: Sequence[CurveAction]) -> list[dict]:
-    docs = []
-    for action in actions:
-        h = action.acting_group
-        vectors = enumerate_generating_vectors(h, action.vector.genus, action.vector.periods)
+    """One section per action; factors with the same acting group, genus and
+    periods share one section, and equal image tuples one list of names."""
+    keys = [(a.acting_group, a.vector.genus, a.vector.periods) for a in actions]
+    sections: dict[tuple, dict] = {}
+    for key in keys:
+        if key in sections:
+            continue
+        h, genus, periods = key
+        vectors = enumerate_generating_vectors(h, genus, periods)
         names = [_element_word(h, e) for e in range(h.order)]
-        docs.append(
-            {
-                "count": len(vectors),
-                "vectors": [
-                    {
-                        "a": [names[e] for e in v.a_images],
-                        "b": [names[e] for e in v.b_images],
-                        "c": [names[e] for e in v.c_images],
-                    }
-                    for v in vectors
-                ],
-            }
-        )
-    return docs
+        named = dict.fromkeys(t for w in vectors for t in (w.a_images, w.b_images, w.c_images))
+        for images in named:
+            named[images] = [names[e] for e in images]
+        sections[key] = {
+            "count": len(vectors),
+            "vectors": [
+                {"a": named[w.a_images], "b": named[w.b_images], "c": named[w.c_images]}
+                for w in vectors
+            ],
+        }
+    return [sections[key] for key in keys]
 
 
 def _log(quiet: bool, message: str) -> None:
@@ -528,7 +523,7 @@ def render_report(report: dict) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _emit(value: Any, nl: str) -> str:
+def _emit(value: Any, nl: str, shared: Optional[dict[int, str]] = None) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
     With an ``indent``, ``json`` falls back to its pure-Python encoder; this
@@ -537,7 +532,10 @@ def _emit(value: Any, nl: str) -> str:
     tuple of strings is one ``join``; dicts with ``str`` keys, lists and
     tuples recurse, and every other value (floats, subclasses, dicts with
     other keys, objects ``json`` rejects) goes to ``json.dumps`` itself,
-    re-indented to its depth.
+    re-indented to its depth.  The items of any other list are emitted in
+    one loop, where an item that is the previous item repeats its text and
+    a list that is a value in several of the items is emitted once:
+    ``shared`` maps its id to its text, all at one depth.
     """
     if isinstance(value, str):
         return _encode_str(value)
@@ -557,12 +555,23 @@ def _emit(value: Any, nl: str) -> str:
         try:
             body = ("," + inner).join(map(_encode_str, value))
         except TypeError:
-            body = ("," + inner).join([_emit(v, inner) for v in value])
+            texts: list[str] = []
+            values: dict[int, str] = {}  # ``shared`` for the items
+            for v in value:
+                texts.append(texts[-1] if texts and v is prev else _emit(v, inner, values))
+                prev = v
+            body = ("," + inner).join(texts)
         return f"[{inner}{body}{nl}]"
     if kind is dict and value:
         inner = nl + "  "
         try:
-            items = [f"{_encode_str(k)}: {_emit(v, inner)}" for k, v in sorted(value.items())]
+            items = []
+            for k, v in sorted(value.items()):
+                if shared is None or type(v) is not list:
+                    text = _emit(v, inner)
+                elif (text := shared.get(id(v))) is None:
+                    text = shared[id(v)] = _emit(v, inner)
+                items.append(f"{_encode_str(k)}: {text}")
         except TypeError:
             pass  # a key that is not a str, or a value json rejects: json decides
         else:

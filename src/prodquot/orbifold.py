@@ -209,8 +209,9 @@ def enumerate_generating_vectors(
     each exact order by ascending index, the last c solved from the long
     relation when the genus is 0; then a1, b1, ..., ag, bg, also in product
     order.  The last (a, b) pair is read from the commutator table, bucketed
-    by value once per call; the vectors kept are those that generate h,
-    tested once per call for each set of elements they hold.
+    by value once per call; the earlier pairs' commutator products are also
+    taken once per call.  The vectors kept are those that generate h, tested
+    once per call for each set of elements they hold (a bitmask of indices).
     """
     if h.order > ENUMERATION_MAX_ORDER:
         raise GroupTooLarge(f"vector enumeration capped at order {ENUMERATION_MAX_ORDER}")
@@ -221,41 +222,48 @@ def enumerate_generating_vectors(
     if not all(pools):
         return []
     mul = h.cayley_table()
+    inv = [h.inv_idx(e) for e in range(n)]
     solve_last = genus == 0 and bool(periods)
-    # last_pairs[v]: the pairs (a, b) with [a, b] == v, in product order; at
-    # genus 0 the one empty "pair" is an empty product of commutators
+    # last_pairs[v]: each pair (a, b) with [a, b] == v, in product order, and
+    # its mask; at genus 0 the one empty "pair" is an empty product
     comm: list[list[int]] = []
-    last_pairs: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    last_pairs: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
     if genus:
         comm = [[h.commutator(a, b) for b in range(n)] for a in range(n)]
         for a, b in itertools.product(range(n), repeat=2):
-            last_pairs[comm[a][b]].append((a, b))
+            last_pairs[comm[a][b]].append(((a, b), 1 << a | 1 << b))
     else:
-        last_pairs[0].append(())
+        last_pairs[0].append(((), 0))
+    # every (a1, b1, ..., a_{g-1}, b_{g-1}) with its mask and the inverse of
+    # its commutator product
+    leads = []
+    for lead in itertools.product(range(n), repeat=max(2 * genus - 2, 0)):
+        acc = 0
+        for i in range(0, len(lead), 2):
+            acc = mul[acc][comm[lead[i]][lead[i + 1]]]
+        leads.append((lead, sum(1 << e for e in {*lead}), inv[acc]))
     results: list[GeneratingVector] = []
     # whether a set of elements generates h, per set met in this call
-    generating: dict[frozenset[int], bool] = {}
+    generating: dict[int, bool] = {}
     for cs in itertools.product(*(pools[:-1] if solve_last else pools)):
         prod = 0
         for c in cs:
             prod = mul[prod][c]
-        needed = h.inv_idx(prod)  # what the product of the commutators must equal
+        needed = inv[prod]  # what the product of the commutators must equal
         if solve_last:
             if orders[needed] != periods[-1]:
                 continue
             cs += (needed,)
             needed = 0
-        for lead in itertools.product(range(n), repeat=max(2 * genus - 2, 0)):
-            acc = 0
-            for i in range(0, len(lead), 2):
-                acc = mul[acc][comm[lead[i]][lead[i + 1]]]
-            for last in last_pairs[mul[h.inv_idx(acc)][needed]]:
-                abs_ = lead + last
-                elements = frozenset((*abs_, *cs))
-                generates = generating.get(elements)
+        cs_mask = sum(1 << c for c in {*cs})
+        for lead, lead_mask, lead_inv in leads:
+            for last, last_mask in last_pairs[mul[lead_inv][needed]]:
+                mask = cs_mask | lead_mask | last_mask
+                generates = generating.get(mask)
                 if generates is None:
-                    generates = generating[elements] = len(h.generated(elements)) == n
+                    generates = generating[mask] = len(h.generated((*lead, *last, *cs))) == n
                 if generates:
+                    abs_ = lead + last
                     results.append(
                         GeneratingVector(h, genus, periods, abs_[0::2], abs_[1::2], cs)
                     )

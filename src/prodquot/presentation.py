@@ -110,8 +110,15 @@ def product_offsets(factors: Sequence[Presentation]) -> list[int]:
 
 
 def quotient_presentation(p: Presentation, extra: Iterable[Word]) -> Presentation:
+    """p with the non-identity words of extra appended; only those words are
+    checked, since p itself was validated when it was built."""
     added = tuple(w for w in extra if not w.is_identity())
-    return Presentation(p.gens, p.relators + added)
+    if any(w.max_generator() >= p.ngens for w in added):
+        raise ValueError("relator uses an unknown generator")
+    q = object.__new__(Presentation)  # skips __post_init__'s re-validation of p
+    object.__setattr__(q, "gens", p.gens)
+    object.__setattr__(q, "relators", p.relators + added)
+    return q
 
 
 # ---------------------------------------------------------------------------

@@ -124,12 +124,7 @@ def build_curve_action(
     h = vector.target
     section = bfs_section(h, vector.gen_images())
     return CurveAction(
-        group,
-        projection,
-        vector,
-        genus,
-        tuple(projection.kernel_indices()),
-        section,
+        group, projection, vector, genus, tuple(projection.kernel_indices()), section,
         tuple(map(h.powers, vector.c_images)),
     )
 
@@ -166,10 +161,7 @@ class TorsionElement:
 
 
 def _common_kernel(actions: Sequence[CurveAction]) -> set[int]:
-    common = set(actions[0].kernel_indices)
-    for a in actions[1:]:
-        common &= set(a.kernel_indices)
-    return common
+    return set(actions[0].kernel_indices).intersection(*(a.kernel_indices for a in actions[1:]))
 
 
 def _check_coordinate(action: CurveAction, f: TorsionFactor, target: int) -> None:
@@ -406,17 +398,8 @@ def build_pi1(
             raise RuntimeError("a generator's image lies over no acting-group element")
         psi.append(over[image])
     return Pi1Result(
-        tz.presentation,
-        raw,
-        acts,
-        sub,
-        offsets,
-        tuple(torsion),
-        tuple(words),
-        tz.old_to_new,
-        tuple(psi),
-        tz.steps_used,
-        max_cosets,
+        tz.presentation, raw, acts, sub, offsets, tuple(torsion), tuple(words), tz.old_to_new,
+        tuple(psi), tz.steps_used, max_cosets,
     )
 
 
@@ -583,17 +566,8 @@ def structure_from_pi1(res: Pi1Result) -> StructureReport:
                 break
             e_bound *= full // s.group_order()
     return StructureReport(
-        sigs,
-        t_index,
-        True,
-        e_bound,
-        e_exact,
-        free.is_free,
-        res.abelianization,
-        pi1_order,
-        orb_order,
-        inter,
-        tuple(notes),
+        sigs, t_index, True, e_bound, e_exact, free.is_free, res.abelianization, pi1_order,
+        orb_order, inter, tuple(notes),
     )
 
 
@@ -716,9 +690,7 @@ def _verify(res: Pi1Result, index_bound: int) -> VerificationReport:
         return VerificationReport("INCONCLUSIVE", detail="no search budget")
     pres = res.presentation
     if res.order is not None:
-        return VerificationReport(
-            "FINITE", order=res.order, detail="fundamental group is finite"
-        )
+        return VerificationReport("FINITE", order=res.order, detail="fundamental group is finite")
     if not all(s.is_hyperbolic() for s in res.quotient_signatures):
         return VerificationReport(
             "INCONCLUSIVE", detail="quotient signatures are not all hyperbolic"

@@ -375,6 +375,21 @@ def test_smith_diagonal_matches_reference_on_criterion_5_matrices():
             _check_against_reference([r.exponent_sums(p.ngens) for r in p.relators])
 
 
+def test_smith_diagonal_matches_reference_on_tall_matrices_of_few_rows():
+    # 84 rows over 5 columns drawn from 6 distinct rows, the shape of a
+    # classify pi1 abelianization: every repeat is skipped.  From 30
+    # distinct rows, more than the 2 * 5 that smith_diagonal keeps, the
+    # repeats of the later ones are read like new rows.
+    rng = random.Random(84)
+    for distinct in (6, 30):
+        for _ in range(10):
+            rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(distinct // 2)]
+            rows += [[2 * rng.randint(-3, 3) for _ in range(5)] for _ in range(distinct // 2)]
+            matrix = [list(rng.choice(rows)) for _ in range(84)]
+            _check_against_reference(matrix)
+            assert smith_diagonal(matrix) == _reference_smith(rows)
+
+
 def _canonical_candidate_matrix():
     """The relation rows of the Beauville job's index-25 canonical candidate
     (the kernel of pi1 onto the acting group), as the verify search makes

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import prodquot
+import prodquot.cli as cli
 import prodquot.presentation as presentation_module
 from prodquot.cli import (
     ALL_OUTPUTS,
@@ -149,6 +150,97 @@ def test_render_report_matches_json_on_awkward_values():
     }
     assert render_report(doc) == _json_text(doc)
     assert render_report({}) == _json_text({})
+
+
+def _render_without_json(monkeypatch, doc) -> str:
+    """render_report(doc) with json.dumps unavailable, so that no value may
+    fall back to it: a TypeError from the emitter's own loop would otherwise
+    be hidden by the fallback."""
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("render_report fell back to json.dumps")
+
+    with monkeypatch.context() as m:
+        m.setattr(json, "dumps", unavailable)
+        return render_report(doc)
+
+
+def test_render_report_matches_json_on_shared_and_repeated_objects(monkeypatch):
+    shared = ["x", "y"]
+    record = {"a": shared, "b": shared, "c": []}
+    doc = {
+        "records": [
+            record,
+            record,
+            {"a": shared, "b": ["x", "y"], "c": shared},
+            {"a": [], "b": [shared, shared], "c": {"d": shared}},
+            record,
+        ],
+        "mixed": [
+            None,
+            None,
+            {"k": shared},
+            {"k": shared, "n": None},
+            [shared, {"k": shared}],
+            {"k": [None, record]},
+            True,
+            True,
+            0,
+        ],
+        "nested": [[record, record], {"r": [record, shared]}],
+        "sections": [{"count": 2, "vectors": [record, record]}] * 2,
+    }
+    assert _render_without_json(monkeypatch, doc) == _json_text(doc)
+    # empty dicts and dicts with keys that are not strings go to json
+    doc["json decides"] = [
+        None, {}, {}, {1: shared, 2: [shared]}, {1: shared}, {"k": shared}, {"k": [None, {}]}
+    ]
+    assert render_report(doc) == _json_text(doc)
+
+
+POOL_FILE = Path(__file__).resolve().parent.parent / "pipebench" / "frozen" / "classify_pool.json"
+
+
+def test_render_report_matches_json_on_the_classify_pool(monkeypatch):
+    pool = json.loads(POOL_FILE.read_text(encoding="utf-8"))
+    texts = [text for stratum in pool for text in stratum["docs"]]
+    assert len(texts) == 302
+    for text in texts:
+        report = run_job(parse_job(text))
+        expected = _json_text(report)
+        assert _render_without_json(monkeypatch, report) == expected, json.loads(text)["name"]
+
+
+def _enumerate_section_per_factor(action) -> dict:
+    """The enumerate section of one factor, as the loop over factors built it
+    before identical factors shared one section."""
+    h = action.acting_group
+    vectors = enumerate_generating_vectors(h, action.vector.genus, action.vector.periods)
+    names = [cli._element_word(h, e) for e in range(h.order)]
+    return {
+        "count": len(vectors),
+        "vectors": [
+            {
+                "a": [names[e] for e in v.a_images],
+                "b": [names[e] for e in v.b_images],
+                "c": [names[e] for e in v.c_images],
+            }
+            for v in vectors
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "name, shared", [("s3-pair", True), ("kummer", True), ("klein-mixed-projections", False)]
+)
+def test_identical_factors_share_one_enumerate_section(name, shared):
+    # kummer's two factors are the identity projection with one signature;
+    # klein-mixed-projections projects onto two groups built apart
+    job = load_bundled_job(name).with_outputs(["enumerate"])
+    sections = run_job(job)["results"]["enumerate"]
+    assert sections == [_enumerate_section_per_factor(a) for a in job.actions]
+    assert (sections[1] is sections[0]) == shared
+    assert sections[0]["count"] > 0
 
 
 def test_reports_are_byte_identical_across_runs():

@@ -81,8 +81,11 @@ def test_quotient_presentation():
     q = quotient_presentation(p, [p.word("b^2"), Word()])
     assert q.gens == p.gens
     assert q.relator_texts() == ["a^4", "b^2"]
-    with pytest.raises(ValueError, match="unknown generator"):
-        quotient_presentation(p, [Word(((5, 1),))])
+    assert q == Presentation(p.gens, (p.word("a^4"), p.word("b^2")))
+    # only the added words are checked, and each of them is
+    for bad in ([Word(((5, 1),))], [p.word("b"), Word(((0, 1), (2, -1)))]):
+        with pytest.raises(ValueError, match="unknown generator"):
+            quotient_presentation(p, bad)
 
 
 def test_direct_product_presentation():
