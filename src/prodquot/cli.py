@@ -529,13 +529,13 @@ def _emit(value: Any, nl: str, shared: Optional[dict[int, str]] = None) -> str:
     With an ``indent``, ``json`` falls back to its pure-Python encoder; this
     emitter builds the same text from one string per value.  ``nl`` is a
     newline plus the indent of the line the value starts on.  A list or
-    tuple of strings is one ``join``; dicts with ``str`` keys, lists and
-    tuples recurse, and every other value (floats, subclasses, dicts with
-    other keys, objects ``json`` rejects) goes to ``json.dumps`` itself,
-    re-indented to its depth.  The items of any other list are emitted in
-    one loop, where an item that is the previous item repeats its text and
-    a list that is a value in several of the items is emitted once:
-    ``shared`` maps its id to its text, all at one depth.
+    tuple of strings is one ``join``; an empty dict is ``{}``; dicts with
+    ``str`` keys, lists and tuples recurse, and every other value (floats,
+    subclasses, dicts with other keys, objects ``json`` rejects) goes to
+    ``json.dumps`` itself, re-indented to its depth.  The items of any other
+    list are emitted in one loop, where an item that is the previous item
+    repeats its text and a list that is a value in several of the items is
+    emitted once: ``shared`` maps its id to its text, all at one depth.
     """
     if isinstance(value, str):
         return _encode_str(value)
@@ -562,7 +562,9 @@ def _emit(value: Any, nl: str, shared: Optional[dict[int, str]] = None) -> str:
                 prev = v
             body = ("," + inner).join(texts)
         return f"[{inner}{body}{nl}]"
-    if kind is dict and value:
+    if kind is dict:
+        if not value:
+            return "{}"
         inner = nl + "  "
         try:
             items = []

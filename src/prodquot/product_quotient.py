@@ -575,27 +575,45 @@ def structure_from_pi1(res: Pi1Result) -> StructureReport:
 # Bounded search for a finite-index product-of-surface-groups subgroup.
 
 
-def _quotient_catalogue(index_bound: int) -> Iterator[tuple[str, FiniteGroup]]:
+def _quotient_catalogue(
+    index_bound: int,
+) -> list[tuple[str, tuple[int, ...], partial[FiniteGroup]]]:
     """Cyclic, dihedral and two-factor abelian groups of order at most
-    index_bound, by (order, name).  Orders are known without the groups, so
-    each group is closed only when the search reaches it."""
-    entries = [(m, f"cyclic({m})", partial(cyclic_group, m)) for m in range(2, index_bound + 1)]
+    index_bound, by (order, name), each with the orders of cyclic groups
+    whose product is its abelianization, in closed form, and its builder.
+    Orders are known without the groups, so the search closes a group only
+    when it reaches it, and not at all when its abelianization rules it out."""
+    entries = [
+        (m, f"cyclic({m})", (m,), partial(cyclic_group, m)) for m in range(2, index_bound + 1)
+    ]
     entries += [
-        (2 * m, f"dihedral({m})", partial(dihedral_group, m))
+        (2 * m, f"dihedral({m})", (2,) * (2 - m % 2), partial(dihedral_group, m))
         for m in range(3, index_bound // 2 + 1)
     ]
     entries += [
-        (a * b, f"abelian({a}x{b})", partial(_abelian_group, a, b))
+        (a * b, f"abelian({a}x{b})", (a, b), partial(_abelian_group, a, b))
         for a in range(2, index_bound + 1)
         for b in range(a, index_bound // a + 1)
     ]
     entries.sort(key=lambda entry: entry[:2])
-    for _, desc, build in entries:
-        yield desc, build()
+    return [entry[1:] for entry in entries]
 
 
 def _abelian_group(a: int, b: int) -> FiniteGroup:
     return direct_product_group(cyclic_group(a), cyclic_group(b))
+
+
+def _maps_onto(h1: AbelianInvariants, orders: Sequence[int]) -> bool:
+    """Whether h1 maps onto the product of cyclic groups of these orders: it
+    does exactly when, for every prime power q, at least as many of h1's
+    cyclic factors as of the target's have an order that q divides, a copy of
+    Z counting for every q.  Other q add nothing: h1's torsion is a
+    divisibility chain, so its count at q is the least of its counts at q's
+    prime powers, and the target's is at most each of those."""
+    return all(
+        sum(o % q == 0 for o in orders) <= h1.free_rank + sum(t % q == 0 for t in h1.torsion)
+        for q in range(2, max(orders) + 1)
+    )
 
 
 def _surjections(p: Presentation, quo: FiniteGroup) -> Iterator[tuple[int, ...]]:
@@ -706,7 +724,10 @@ def _verify(res: Pi1Result, index_bound: int) -> VerificationReport:
         )
         if report is not None:
             return report
-    for desc, cand in _quotient_catalogue(index_bound):
+    for desc, orders, build in _quotient_catalogue(index_bound):
+        if not _maps_onto(res.abelianization, orders):
+            continue
+        cand = build()
         for tup in _surjections(pres, cand):
             report = _try_subgroup(res, desc, cand, tup, tried)
             if report is not None:
@@ -721,7 +742,11 @@ def verify_from_pi1(
 ) -> VerificationReport:
     """Search for a finite-index subgroup of pi1 whose abelianization is
     torsion-free of even rank, over quotients of order at most index_bound.
-    Each kernel's coset table is read off the quotient (``fiber_product_table``
-    on the diagonal of quo x quo, with a generator-free second factor); one
-    larger than the coset budget res was built with is skipped."""
+    Every surjection onto a quotient Q factors through H1 -> Q^ab, so a
+    catalogue group whose abelianization H1 (``res.abelianization``, computed
+    when the search reaches the catalogue) does not map onto is skipped
+    unbuilt.  Each kernel's coset table is read off the quotient
+    (``fiber_product_table`` on the diagonal of quo x quo, with a
+    generator-free second factor); one larger than the coset budget res was
+    built with is skipped."""
     return _verify(res, index_bound)

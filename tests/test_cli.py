@@ -189,12 +189,11 @@ def test_render_report_matches_json_on_shared_and_repeated_objects(monkeypatch):
         ],
         "nested": [[record, record], {"r": [record, shared]}],
         "sections": [{"count": 2, "vectors": [record, record]}] * 2,
+        "empty": [None, {}, {}, {"k": [None, {}]}, {"k": shared, "e": {}}, [{}]],
     }
     assert _render_without_json(monkeypatch, doc) == _json_text(doc)
-    # empty dicts and dicts with keys that are not strings go to json
-    doc["json decides"] = [
-        None, {}, {}, {1: shared, 2: [shared]}, {1: shared}, {"k": shared}, {"k": [None, {}]}
-    ]
+    # dicts with keys that are not strings go to json
+    doc["json decides"] = [None, {1: shared, 2: [shared]}, {1: shared}, {"k": shared}]
     assert render_report(doc) == _json_text(doc)
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import time
 
 import pytest
@@ -18,7 +19,7 @@ from prodquot.orbifold import (
     Signature,
     enumerate_generating_vectors,
 )
-from prodquot.perm import GroupHom, cyclic_group, symmetric_group
+from prodquot.perm import GroupHom, cyclic_group, normal_closure, quotient, symmetric_group
 from prodquot.presentation import (
     abelian_invariants,
     direct_product_presentation,
@@ -608,8 +609,34 @@ Z3XZ3_FREE_JOB = {
 def test_quotient_catalogue_closes_each_group_only_when_tried(monkeypatch):
     # at bound 200 the catalogue holds 653 groups; closing them all before
     # the first try took over a second
-    res = build_pi1(parse_job(json.dumps(Z3XZ3_FREE_JOB)).actions)
-    closed, tried = [], []
+    cases = [
+        # H1 has free rank 4, so no group is ruled out: cyclic(2), which has
+        # no surjection, and cyclic(3) are closed
+        (Z3XZ3_FREE_JOB, 200, [2, 3], ("FOUND", "cyclic(3)", 3)),
+        # H1 = (Z/5)^3 rules out every group of order at most 8 but cyclic(5)
+        (BEAUVILLE_JOB, 8, [5], ("INCONCLUSIVE", None, None)),
+    ]
+    for doc, bound, closed_orders, expected in cases:
+        res = build_pi1(parse_job(json.dumps(doc)).actions)
+        with monkeypatch.context() as m:
+            start = time.perf_counter()
+            ver, closed, searched, tried = _closing_search(m, res, bound)
+            assert time.perf_counter() - start < 1.0
+        assert (ver.status, ver.quotient, ver.index) == expected
+        assert closed[-1] is tried[-1]
+        assert [g.order for g in closed] == closed_orders
+        assert all(g is q for g, q in zip(closed, searched, strict=True))
+        # a group the rule skips has no surjection, so the report is the same
+        with monkeypatch.context() as m:
+            m.setattr(pq, "_maps_onto", lambda h1, orders: True)
+            assert _closing_search(m, res, bound)[0] == ver
+
+
+def _closing_search(monkeypatch, res, bound):
+    """verify_from_pi1(res, bound) with the canonical candidate set aside,
+    and the catalogue groups it closed, searched for surjections and tried
+    kernels of, in order."""
+    closed, searched, tried = [], [], []
     for name in ("cyclic_group", "dihedral_group", "direct_product_group"):
         original = getattr(pq, name)
 
@@ -619,6 +646,13 @@ def test_quotient_catalogue_closes_each_group_only_when_tried(monkeypatch):
             return group
 
         monkeypatch.setattr(pq, name, closing)
+    surjections = pq._surjections
+
+    def searching(p, quo):
+        searched.append(quo)
+        return surjections(p, quo)
+
+    monkeypatch.setattr(pq, "_surjections", searching)
     try_subgroup = pq._try_subgroup
 
     def trying(res, desc, quo, values, seen):
@@ -628,12 +662,7 @@ def test_quotient_catalogue_closes_each_group_only_when_tried(monkeypatch):
         return try_subgroup(res, desc, quo, values, seen)
 
     monkeypatch.setattr(pq, "_try_subgroup", trying)
-    start = time.perf_counter()
-    ver = verify_from_pi1(res, 200)
-    assert time.perf_counter() - start < 1.0
-    assert (ver.status, ver.quotient, ver.index) == ("FOUND", "cyclic(3)", 3)
-    assert closed[-1] is tried[-1]
-    assert len(closed) == 2  # cyclic(2), which has no surjection, and cyclic(3)
+    return verify_from_pi1(res, bound), closed, searched, tried
 
 
 def _reference_surjections(p, quo):
@@ -674,32 +703,68 @@ BEAUVILLE_POOL_DOCS = [
 ]
 
 
+def _catalogue_surjections(p):
+    """Per catalogue group up to bound 8, the number of surjections p -> Q,
+    checked against the letter-by-letter search, and the groups H1(p) does
+    not rule out, each checked to be every group with a surjection."""
+    h1 = abelian_invariants(p)
+    found, admitted = {}, set()
+    for desc, orders, build in pq._quotient_catalogue(8):
+        cand = build()
+        got = list(pq._surjections(p, cand))
+        assert got == list(_reference_surjections(p, cand)), desc
+        found[desc] = len(got)
+        if pq._maps_onto(h1, orders):
+            admitted.add(desc)
+        else:
+            assert not got, desc
+    return found, admitted
+
+
 @pytest.mark.parametrize(
     "doc", [BEAUVILLE_JOB, *BEAUVILLE_POOL_DOCS], ids=lambda d: d["name"]
 )
 def test_surjections_match_the_letter_by_letter_search(doc):
     pres = build_pi1(parse_job(json.dumps(doc)).actions).presentation
-    found = {}
-    for desc, cand in pq._quotient_catalogue(8):
-        got = list(pq._surjections(pres, cand))
-        assert got == list(_reference_surjections(pres, cand)), desc
-        found[desc] = len(got)
-    # H1 = (Z/5)^3: only cyclic(5) is a quotient, 5^3 - 1 surjections
+    found, admitted = _catalogue_surjections(pres)
+    # H1 = (Z/5)^3: only cyclic(5) is a quotient, 5^3 - 1 surjections, and
+    # H1 rules out every other group
     assert found == {desc: 124 if desc == "cyclic(5)" else 0 for desc in found}
+    assert admitted == {"cyclic(5)"}
 
 
 def test_surjections_match_the_letter_by_letter_search_on_a_dihedral_quotient():
     # <a, b | a^2, b^2, (ab)^3> is S3: onto dihedral(3) through its 6
-    # automorphisms, onto cyclic(2) only by a, b -> 1
+    # automorphisms, onto cyclic(2) only by a, b -> 1; H1 = Z/2 admits both
     p = presentation(["a", "b"], ["a^2", "b^2", "a*b*a*b*a*b"])
-    found = {}
-    for desc, cand in pq._quotient_catalogue(8):
-        got = list(pq._surjections(p, cand))
-        assert got == list(_reference_surjections(p, cand)), desc
-        found[desc] = len(got)
+    found, admitted = _catalogue_surjections(p)
     assert found["dihedral(3)"] == 6
     assert found["cyclic(2)"] == 1
     assert sum(found.values()) == 7
+    assert admitted == {"cyclic(2)", "dihedral(3)"}
+
+
+def _multiples(group, m):
+    """{a^m : a in group} by element indices."""
+    return {pw[m % len(pw)] for pw in map(group.powers, range(group.order))}
+
+
+def test_catalogue_abelianizations_match_the_built_groups():
+    # per prime power q = p^k, the closed form's cyclic factors of order
+    # divisible by q against the built group's abelianization A, where there
+    # are log_p |p^(k-1) A| / |p^k A| of them
+    for desc, orders, build in pq._quotient_catalogue(24):
+        q = build()
+        commutators = [q.commutator(a, b) for a in range(q.order) for b in range(a)]
+        ab, _ = quotient(q, normal_closure(q, commutators))
+        assert math.prod(orders) == ab.order, desc
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            k = 1
+            while p**k <= q.order:
+                closed = sum(o % p**k == 0 for o in orders)
+                ratio = len(_multiples(ab, p ** (k - 1))) // len(_multiples(ab, p**k))
+                assert p**closed == ratio, (desc, p**k)
+                k += 1
 
 
 # Subgroup words that present the orbifold group, the preimage of D(G) under
