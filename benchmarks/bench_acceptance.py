@@ -7,50 +7,37 @@ criterion the script reports the median of its own measured seconds over the
 runs, the fastest and slowest run, its time limit (None for criteria without
 one; the limits are read from the package, never set here), the share of the
 limit the median uses, and how many runs passed.  It exits 1 when any run of
-any criterion fails, so a slow host shows up as a failure here as in the
-suite.
+any criterion fails on this checkout, so a slow host shows up as a failure
+here as in the suite.
+
+With --base SRC the harness (_common.py) runs pairs against the package
+under SRC; each criterion then also carries the base's readings and the
+comparison of its seconds.
 
 Usage:
-  python3 benchmarks/bench_acceptance.py [--runs N] [--json]
+  python3 benchmarks/bench_acceptance.py [--runs N] [--base SRC] [--json]
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 
-from _common import ROOT, git_sha
+import _common as bench
 
 
-def run_once() -> list[dict]:
+def child(args) -> dict:
     """Every criterion once, in this interpreter."""
     from prodquot.acceptance import run_all
 
-    return [dataclasses.asdict(r) for r in run_all(quiet=True)]
+    return {"criteria": [dataclasses.asdict(r) for r in run_all(quiet=True)]}
 
 
-def run_child() -> list[dict]:
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    out = subprocess.run(
-        [sys.executable, os.path.abspath(__file__), "--child"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(out.stdout)
-
-
-def summarize(runs: list[list[dict]]) -> list[dict]:
+def side_record(runs: list[dict]) -> list[dict]:
     """Per criterion, in order: median, fastest and slowest seconds, limit."""
     out = []
-    for results in zip(*runs):
+    for results in zip(*(r["criteria"] for r in runs)):
         seconds = [r["seconds"] for r in results]
         median = statistics.median(seconds)
         limit = results[0]["limit_seconds"]
@@ -64,50 +51,46 @@ def summarize(runs: list[list[dict]]) -> list[dict]:
                 "limit_s": limit,
                 "limit_share": round(median / limit, 3) if limit else None,
                 "passed_runs": sum(r["passed"] for r in results),
+                "runs_s": [round(s, 3) for s in seconds],
             }
         )
     return out
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=3, help="fresh-interpreter runs")
-    parser.add_argument("--json", action="store_true", help="emit the results as JSON")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-
-    if args.child:
-        print(json.dumps(run_once()))
-        return 0
-
-    runs = [run_child() for _ in range(args.runs)]
-    criteria = summarize(runs)
+def parent(args) -> tuple[dict, bool]:
+    sides = bench.alternate(
+        args.runs, bench.srcs(args.base), lambda side, src: bench.run_child(__file__, src, [])
+    )
+    criteria = side_record(sides["after"])
+    if "before" in sides:
+        for after, before in zip(criteria, side_record(sides["before"])):
+            after["before"] = before
+            after["summary"] = bench.summarize(after["runs_s"], before["runs_s"], 3)
     ok = all(c["passed_runs"] == args.runs for c in criteria)
-    doc = {
-        "python": platform.python_version(),
-        "git_sha": git_sha(),
-        "runs": args.runs,
-        "criteria": criteria,
-        "all_passed": ok,
-    }
-    if args.json:
-        print(json.dumps(doc, indent=1))
-        return 0 if ok else 1
+    host = {key: [r["host_factor"] for r in runs] for key, runs in sides.items()}
+    return {"criteria": criteria, "all_passed": ok, "host_factor_runs": host}, ok
 
-    print(f"python {doc['python']}, {doc['git_sha']}, {args.runs} runs")
+
+def table(doc: dict, ok: bool) -> None:
+    runs = doc["runs"]
+    print(f"python {doc['python']}, {doc['git_sha']}, {runs} runs")
     print(
         f"{'criterion':34}{'median_s':>10}{'min_s':>8}{'max_s':>8}"
-        f"{'limit_s':>9}{'share':>7}{'passed':>8}"
+        f"{'limit_s':>9}{'share':>7}{'passed':>8}{'base_s':>9}"
     )
-    for c in criteria:
+    for c in doc["criteria"]:
         limit = f"{c['limit_s']:.0f}" if c["limit_s"] else "-"
         share = f"{c['limit_share']:.0%}" if c["limit_s"] else "-"
+        base = f"{c['before']['median_s']:.2f}" if "before" in c else "-"
         label = f"{c['number']} {c['name']}"
         print(
             f"{label:34}{c['median_s']:>10.2f}{c['min_s']:>8.2f}{c['max_s']:>8.2f}"
-            f"{limit:>9}{share:>7}{c['passed_runs']:>5}/{args.runs}"
+            f"{limit:>9}{share:>7}{c['passed_runs']:>5}/{runs}{base:>9}"
         )
-    return 0 if ok else 1
+
+
+def main(argv=None) -> int:
+    return bench.main(bench.options(__doc__, runs=3, base=True), parent, table, child, argv)
 
 
 if __name__ == "__main__":

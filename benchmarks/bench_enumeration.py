@@ -9,14 +9,11 @@ Usage:  python3 benchmarks/bench_enumeration.py [--repeats N] [--json]
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import platform
 import sys
-import time
 
-from _common import git_sha
+import _common as bench  # puts this checkout's src/ on the path
 
 from prodquot.coset import todd_coxeter
 from prodquot.presentation import presentation
@@ -90,42 +87,30 @@ CASES = [
 MAX_COSETS = 2_000_000
 
 
-def run_cases(repeats: int) -> list[dict]:
-    out = []
+def parent(args) -> tuple[dict, bool]:
+    results = []
     for name, gens, rels, sub, expected, digest in CASES:
         p = presentation(gens, rels)
         sub_words = [p.word(w) for w in sub]
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            table = todd_coxeter(p, sub_words, max_cosets=MAX_COSETS)
-            best = min(best, time.perf_counter() - start)
-        text = json.dumps(table.table, separators=(",", ":"))
-        out.append(
+        seconds, tables = bench.best_of(
+            args.repeats, lambda: todd_coxeter(p, sub_words, max_cosets=MAX_COSETS)
+        )
+        last = tables[-1]
+        text = json.dumps(last.table, separators=(",", ":"))
+        results.append(
             {
                 "name": name,
-                "index": table.index,
-                "seconds": best,
-                "ok": table.index == expected
+                "index": last.index,
+                "seconds": seconds,
+                "ok": last.index == expected
                 and hashlib.sha256(text.encode()).hexdigest() == digest,
             }
         )
-    return out
+    return {"results": results}, all(r["ok"] for r in results)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--repeats", type=int, default=3, help="best-of repeat count")
-    parser.add_argument("--json", action="store_true", help="emit raw results as JSON")
-    args = parser.parse_args()
-
-    results = run_cases(args.repeats)
-    ok = all(r["ok"] for r in results)
-    if args.json:
-        doc = {"python": platform.python_version(), "git_sha": git_sha(), "results": results}
-        print(json.dumps(doc, indent=1))
-        return 0 if ok else 1
-
+def table(doc: dict, ok: bool) -> None:
+    results = doc["results"]
     width = max(len(r["name"]) for r in results)
     print(f"{'case':<{width}}  {'index':>6}  {'seconds':>8}  table")
     for r in results:
@@ -133,7 +118,10 @@ def main() -> int:
             f"{r['name']:<{width}}  {r['index']:>6}  {r['seconds']:>7.3f}s  "
             f"{'match' if r['ok'] else 'MISMATCH'}"
         )
-    return 0 if ok else 1
+
+
+def main(argv=None) -> int:
+    return bench.main(bench.options(__doc__, repeats=3), parent, table, argv=argv)
 
 
 if __name__ == "__main__":

@@ -23,18 +23,14 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
-import platform
 import sys
 import time
 
-from _common import ROOT, git_sha
+import _common as bench  # puts this checkout's src/ on the path
 
-sys.path.insert(0, os.path.join(ROOT, "src"))
-
-from prodquot.cli import (  # noqa: E402
+from prodquot.cli import (
     ALL_OUTPUTS,
     _enumerate_doc,
     bundled_job_names,
@@ -44,7 +40,7 @@ from prodquot.cli import (  # noqa: E402
     run_job,
 )
 
-POOL_FILE = os.path.join(ROOT, "pipebench", "frozen", "classify_pool.json")
+POOL_FILE = os.path.join(bench.ROOT, "pipebench", "frozen", "classify_pool.json")
 
 
 def json_text(report: dict) -> str:
@@ -75,19 +71,12 @@ def time_set(render, reports: list[dict]) -> float:
     return time.perf_counter() - start
 
 
-def time_enumerate(jobs: list) -> float:
-    start = time.perf_counter()
+def enumerate_all(jobs: list) -> None:
     for job in jobs:
         _enumerate_doc(job.actions)
-    return time.perf_counter() - start
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=7, help="timed runs; a set keeps the fastest")
-    parser.add_argument("--json", action="store_true", help="emit the results as JSON")
-    args = parser.parse_args()
-
+def parent(args) -> tuple[dict, bool]:
     jobs = pool_jobs()
     sets = {}
     identical = True
@@ -95,12 +84,11 @@ def main() -> int:
         texts = [json_text(r) for r in reports]
         same = all(render_report(r) == t for r, t in zip(reports, texts))
         identical &= same
-        seconds = {"json": [], "render_report": []}
-        for k in range(args.runs):
-            order = ("json", "render_report") if k % 2 == 0 else ("render_report", "json")
-            for side in order:
-                render = json_text if side == "json" else render_report
-                seconds[side].append(time_set(render, reports))
+        seconds = bench.alternate(
+            args.runs,
+            {"json": json_text, "render_report": render_report},
+            lambda side, render: time_set(render, reports),
+        )
         best = {side: min(v) for side, v in seconds.items()}
         sets[name] = {
             "reports": len(reports),
@@ -110,27 +98,23 @@ def main() -> int:
             "speedup": round(best["json"] / best["render_report"], 2),
             "identical": same,
         }
-    enumerate_s = min(time_enumerate(jobs) for _ in range(args.runs))
-    doc = {
-        "python": platform.python_version(),
-        "git_sha": git_sha(),
-        "runs": args.runs,
-        "sets": sets,
-        "classify_pool_enumerate_doc_s": round(enumerate_s, 4),
-    }
-    if args.json:
-        print(json.dumps(doc, indent=1))
-        return 0 if identical else 1
+    enumerate_s, _ = bench.best_of(args.runs, lambda: enumerate_all(jobs))
+    return {"sets": sets, "classify_pool_enumerate_doc_s": round(enumerate_s, 4)}, identical
 
+
+def table(doc: dict, ok: bool) -> None:
     print(f"{'set':22}{'reports':>9}{'MB':>8}{'json_s':>10}{'render_s':>10}{'speedup':>9}")
-    for name, s in sets.items():
+    for name, s in doc["sets"].items():
         print(
             f"{name:22}{s['reports']:>9}{s['mb']:>8.2f}{s['json_s']:>10.4f}"
             f"{s['render_report_s']:>10.4f}{s['speedup']:>8.2f}x"
         )
-    print(f"_enumerate_doc over the classify pool: {enumerate_s:.4f} s")
-    print(f"rendered text {'identical to json' if identical else 'DIFFERS from json'}")
-    return 0 if identical else 1
+    print(f"_enumerate_doc over the classify pool: {doc['classify_pool_enumerate_doc_s']:.4f} s")
+    print(f"rendered text {'identical to json' if ok else 'DIFFERS from json'}")
+
+
+def main(argv=None) -> int:
+    return bench.main(bench.options(__doc__, runs=7), parent, table, argv=argv)
 
 
 if __name__ == "__main__":

@@ -6,17 +6,16 @@ factors' orbifold groups) is built untimed, then two steps are timed:
 ``torsion_generators`` (the torsion normal forms and the check of every
 coordinate's image) and the torsion words (``torsion_word`` on every
 normal form, the rewrite into the orbifold group, with one memo of walks
-per job).  Both are timed --repeats times in one interpreter; a job's time
-is the median over the repeats, and the total is the sum over the jobs.
-A run exits 1 when the sha256 of any job's raw pi1 presentation (the
-orbifold group modulo the torsion words, before Tietze) differs from its
-frozen digest, so a speed change cannot change the answer.
+per job).  Each step is timed --repeats times in one interpreter; a job's
+time is the fastest repeat (records made before the shared harness took the
+median of the repeats), and the total is the sum over the jobs.  A run exits
+1 when the sha256 of any job's raw pi1 presentation (the orbifold group
+modulo the torsion words, before Tietze) differs from its frozen digest, so
+a speed change cannot change the answer.
 
-With --base SRC the script runs pairs: the checkout it lives in and the
-package under SRC (say, the src/ of a clone of the parent commit), each run
-in a fresh interpreter, the base first in even pairs and second in odd ones,
-and reports the medians over the runs.  The base's digests are reported,
-but only the checkout's decide the exit code.
+With --base SRC the harness (_common.py) runs pairs against the package
+under SRC and reports the medians over the runs.  The base's digests are
+reported, but only the checkout's decide the exit code.
 
 Usage:
   python3 benchmarks/bench_torsion.py [--runs N] [--repeats R] [--base SRC] [--json]
@@ -24,17 +23,12 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
-import time
 
-from _common import ROOT, git_sha
+import _common as bench
 
 # bundled job -> sha256 of its raw pi1 presentation (see presentation_digest),
 # computed with the per-element torsion loop that checked and rewrote every
@@ -76,52 +70,40 @@ def presentation_digest(pres) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def torsion_words(res, torsion) -> list:
+    """Every normal form's word, sharing one memo of walks."""
+    import prodquot.product_quotient as pq
+
+    walks = {}
+    return [pq.torsion_word(res.subgroup, res.offsets, res.actions, te, walks) for te in torsion]
+
+
 def time_job(name: str, repeats: int) -> dict:
-    """Median seconds of each step over the repeats, and the raw digest."""
+    """Fastest seconds of each step over the repeats, and the raw digest."""
     import prodquot.product_quotient as pq
     from prodquot.cli import load_bundled_job
     from prodquot.presentation import quotient_presentation
 
     job = load_bundled_job(name)
-    cosets, steps = job.budgets.max_cosets, job.budgets.tietze_steps
-    seconds = {step: [] for step in STEPS}
-    for _ in range(repeats):
-        res = pq.build_pi1(job.actions, cosets, steps)
-        start = time.perf_counter()
-        torsion = pq.torsion_generators(job.actions)
-        mid = time.perf_counter()
-        walks = {}
-        words = [
-            pq.torsion_word(res.subgroup, res.offsets, res.actions, te, walks) for te in torsion
-        ]
-        end = time.perf_counter()
-        seconds["torsion"].append(mid - start)
-        seconds["words"].append(end - mid)
+    res = pq.build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
+    torsion_s, (torsion, *_) = bench.best_of(repeats, lambda: pq.torsion_generators(job.actions))
+    words_s, (words, *_) = bench.best_of(repeats, lambda: torsion_words(res, torsion))
     raw = quotient_presentation(res.subgroup.presentation, words)
-    return {
-        **{step: statistics.median(v) for step, v in seconds.items()},
-        "digest": presentation_digest(raw),
-    }
+    return {"torsion": torsion_s, "words": words_s, "digest": presentation_digest(raw)}
 
 
-def run_once(repeats: int) -> dict:
+def child(args) -> dict:
     """Every bundled job in this interpreter."""
     from prodquot.cli import bundled_job_names
 
-    return {name: time_job(name, repeats) for name in bundled_job_names()}
+    return {"jobs": {name: time_job(name, args.repeats) for name in bundled_job_names()}}
 
 
-def run_child(src: str, repeats: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=src)
-    cmd = [sys.executable, os.path.abspath(__file__), "--child", "--repeats", str(repeats)]
-    out = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
-def summarize(runs: list[dict]) -> dict:
+def side_record(runs: list[dict]) -> dict:
     """Per-job and total medians over the runs, in milliseconds."""
-    names = list(runs[0])
-    totals = [{step: sum(r[n][step] for n in names) for step in STEPS} for r in runs]
+    jobs = [r["jobs"] for r in runs]
+    names = list(jobs[0])
+    totals = [{step: sum(j[n][step] for n in names) for step in STEPS} for j in jobs]
     for t in totals:
         t["total"] = t["torsion"] + t["words"]
     out = {
@@ -132,58 +114,35 @@ def summarize(runs: list[dict]) -> dict:
         "total_runs_ms": [round(1000 * t["total"], 3) for t in totals],
         "jobs_ms": {
             n: {
-                step: round(1000 * statistics.median(r[n][step] for r in runs), 3)
+                step: round(1000 * statistics.median(j[n][step] for j in jobs), 3)
                 for step in STEPS
             }
             for n in names
         },
-        "digest_ok": all(r[n]["digest"] == RAW_DIGESTS.get(n) for r in runs for n in names),
+        "digest_ok": all(j[n]["digest"] == RAW_DIGESTS.get(n) for j in jobs for n in names),
+        "host_factor": [r["host_factor"] for r in runs],
     }
-    bad = sorted({n for r in runs for n in names if r[n]["digest"] != RAW_DIGESTS.get(n)})
+    bad = sorted({n for j in jobs for n in names if j[n]["digest"] != RAW_DIGESTS.get(n)})
     if bad:
         out["digest_mismatch"] = bad
     return out
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=3, help="runs (pairs with --base)")
-    parser.add_argument("--repeats", type=int, default=5, help="timed repeats per job and run")
-    parser.add_argument("--base", help="src directory of the package to compare against")
-    parser.add_argument("--json", action="store_true", help="emit the results as JSON")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
+def parent(args) -> tuple[dict, bool]:
+    sides = bench.alternate(
+        args.runs,
+        bench.srcs(args.base),
+        lambda side, src: bench.run_child(__file__, src, ["--repeats", str(args.repeats)]),
+    )
+    doc = {key: side_record(runs) for key, runs in sides.items()}
+    if "before" in doc:
+        summary = bench.summarize(doc["after"]["total_runs_ms"], doc["before"]["total_runs_ms"], 3)
+        doc["speedup"] = summary["speedup"]
+        doc["summary"] = summary
+    return doc, doc["after"]["digest_ok"]
 
-    if args.child:
-        print(json.dumps(run_once(args.repeats)))
-        return 0
 
-    here_src = os.path.join(ROOT, "src")
-    after: list[dict] = []
-    before: list[dict] = []
-    for k in range(args.runs):
-        if args.base and k % 2 == 0:
-            before.append(run_child(args.base, args.repeats))
-        after.append(run_child(here_src, args.repeats))
-        if args.base and k % 2 == 1:
-            before.append(run_child(args.base, args.repeats))
-    doc = {
-        "python": platform.python_version(),
-        "git_sha": git_sha(),
-        "runs": args.runs,
-        "repeats": args.repeats,
-        "after": summarize(after),
-    }
-    if before:
-        doc["before"] = summarize(before)
-        doc["speedup"] = round(
-            doc["before"]["total_ms"]["total"] / doc["after"]["total_ms"]["total"], 2
-        )
-    ok = doc["after"]["digest_ok"]
-    if args.json:
-        print(json.dumps(doc, indent=1))
-        return 0 if ok else 1
-
+def table(doc: dict, ok: bool) -> None:
     sides = [side for side in ("before", "after") if side in doc]
     print(f"{'job (ms)':28}" + "".join(f"{s + ' ' + step:>20}" for s in sides for step in STEPS))
     for name in doc["after"]["jobs_ms"]:
@@ -196,7 +155,11 @@ def main() -> int:
     for side in sides:
         mismatch = doc[side].get("digest_mismatch")
         print(f"{side} raw digests {'MISMATCH ' + ', '.join(mismatch) if mismatch else 'match'}")
-    return 0 if ok else 1
+
+
+def main(argv=None) -> int:
+    parser = bench.options(__doc__, runs=3, repeats=5, base=True)
+    return bench.main(parser, parent, table, child, argv)
 
 
 if __name__ == "__main__":

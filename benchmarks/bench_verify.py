@@ -17,10 +17,8 @@ layers add up to at most verify_s.  A run exits 1 when the sha256 of the
 verification report differs from the frozen digest for its bound, so a speed
 change cannot change the answer.
 
-With --base SRC the script runs pairs: the checkout it lives in and the
-package under SRC (say, the src/ of a clone of the parent commit), each run
-in a fresh interpreter, the base first in even pairs and second in odd ones,
-and reports the medians.
+With --base SRC the harness (_common.py) runs pairs against the package
+under SRC and reports the medians.
 
 Usage:
   python3 benchmarks/bench_verify.py [--runs N] [--base SRC] [--index-bound B] [--json]
@@ -28,18 +26,14 @@ Usage:
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import hashlib
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
 import time
 
-from _common import ROOT, git_sha
+import _common as bench
 
 JOB = {
     "schema": "prodquot-job/1",
@@ -121,7 +115,7 @@ def _rebind(original, layer: str, seconds: dict[str, float], stack: list[float])
                     setattr(mod, attr, timed)
 
 
-def run_once(index_bound: int) -> dict:
+def child(args) -> dict:
     """One timed verify_from_pi1 in this interpreter."""
     from prodquot.cli import parse_job
     from prodquot.product_quotient import build_pi1, verify_from_pi1
@@ -131,7 +125,7 @@ def run_once(index_bound: int) -> dict:
     seconds = dict.fromkeys(LAYERS, 0.0)
     install_timers(seconds)
     start = time.perf_counter()
-    report = verify_from_pi1(res, index_bound)
+    report = verify_from_pi1(res, args.index_bound)
     total = time.perf_counter() - start
     digest = report_digest(report)
     return {
@@ -139,85 +133,36 @@ def run_once(index_bound: int) -> dict:
         **{k: round(v, 4) for k, v in seconds.items()},
         "status": report.status,
         "digest": digest,
-        "digest_ok": digest == REPORT_DIGESTS[index_bound],
+        "digest_ok": digest == REPORT_DIGESTS[args.index_bound],
     }
 
 
-def run_child(src: str, index_bound: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [
-            sys.executable,
-            os.path.abspath(__file__),
-            "--child",
-            "--index-bound",
-            str(index_bound),
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(out.stdout)
-
-
-def summarize(runs: list[dict]) -> dict:
-    keys = ["verify_s", *LAYERS]
+def side_record(runs: list[dict]) -> dict:
+    spread = bench.summarize([r["verify_s"] for r in runs])["after"]
     return {
-        **{k: round(statistics.median(r[k] for r in runs), 4) for k in keys},
+        **{k: round(statistics.median(r[k] for r in runs), 4) for k in ("verify_s", *LAYERS)},
         "verify_runs_s": [r["verify_s"] for r in runs],
-        "verify_quartiles_s": [
-            round(q, 4) for q in statistics.quantiles((r["verify_s"] for r in runs), n=4)
-        ]
-        if len(runs) > 1
-        else None,
+        "verify_quartiles_s": spread["quartiles"],
         "digest_ok": all(r["digest_ok"] for r in runs),
+        "host_factor": [r["host_factor"] for r in runs],
     }
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=3, help="runs (pairs with --base)")
-    parser.add_argument("--base", help="src directory of the package to compare against")
-    parser.add_argument(
-        "--index-bound",
-        type=int,
-        default=8,
-        choices=sorted(REPORT_DIGESTS),
-        help="verify_from_pi1's index bound (a bound with a frozen report digest)",
+def parent(args) -> tuple[dict, bool]:
+    argv = ["--index-bound", str(args.index_bound)]
+    sides = bench.alternate(
+        args.runs, bench.srcs(args.base), lambda side, src: bench.run_child(__file__, src, argv)
     )
-    parser.add_argument("--json", action="store_true", help="emit the results as JSON")
-    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args()
+    doc = {"index_bound": args.index_bound}
+    doc.update((key, side_record(runs)) for key, runs in sides.items())
+    if "before" in doc:
+        summary = bench.summarize(doc["after"]["verify_runs_s"], doc["before"]["verify_runs_s"])
+        doc["speedup"] = summary["speedup"]
+        doc["summary"] = summary
+    return doc, doc["after"]["digest_ok"]
 
-    if args.child:
-        print(json.dumps(run_once(args.index_bound)))
-        return 0
 
-    here_src = os.path.join(ROOT, "src")
-    after: list[dict] = []
-    before: list[dict] = []
-    for k in range(args.runs):
-        if args.base and k % 2 == 0:
-            before.append(run_child(args.base, args.index_bound))
-        after.append(run_child(here_src, args.index_bound))
-        if args.base and k % 2 == 1:
-            before.append(run_child(args.base, args.index_bound))
-    doc = {
-        "python": platform.python_version(),
-        "git_sha": git_sha(),
-        "runs": args.runs,
-        "index_bound": args.index_bound,
-        "after": summarize(after),
-    }
-    if before:
-        doc["before"] = summarize(before)
-        doc["speedup"] = round(doc["before"]["verify_s"] / doc["after"]["verify_s"], 2)
-    ok = doc["after"]["digest_ok"]
-    if args.json:
-        print(json.dumps(doc, indent=1))
-        return 0 if ok else 1
-
+def table(doc: dict, ok: bool) -> None:
     cols = ["verify_s", *LAYERS]
     print(f"{'':8}" + "".join(f"{c:>12}" for c in cols))
     for side in ("before", "after"):
@@ -226,7 +171,18 @@ def main() -> int:
     if "speedup" in doc:
         print(f"speedup {doc['speedup']}x")
     print(f"report digest {'match' if ok else 'MISMATCH'}")
-    return 0 if ok else 1
+
+
+def main(argv=None) -> int:
+    parser = bench.options(__doc__, runs=3, base=True)
+    parser.add_argument(
+        "--index-bound",
+        type=int,
+        default=8,
+        choices=sorted(REPORT_DIGESTS),
+        help="verify_from_pi1's index bound (a bound with a frozen report digest)",
+    )
+    return bench.main(parser, parent, table, child, argv)
 
 
 if __name__ == "__main__":
