@@ -9,11 +9,13 @@ side's ``src``.  With ``--base SRC`` the side "before" (the package under
 SRC) and the side "after" (this checkout) run in alternating pairs, the base
 first in even pairs and second in odd ones; an A/A run is ``--base`` this
 checkout's own ``src``.  Inside a child, ``best_of`` keeps the fastest of R
-timed repeats.  Around each child the parent samples pipebench's host-speed
-probe; the factor it records (1 on pipebench's reference host, higher on a
-slower one) is context only, and raw times decide.  ``summarize`` gives each
-side's median, quartiles and IQR, the ratio of the medians and the pairs the
-change won.
+timed repeats.  Whatever measures -- each child, or a script that times in
+process -- samples pipebench's host-speed probe over its own run
+(``HostSpeed``: one probe at each end and one every 0.2 s of CPU time in
+between) and records the mean as "host_factor" (1 on pipebench's reference
+host, higher on a slower one).  It is context only; raw times decide.
+``summarize`` gives each side's median, quartiles and IQR, the ratio of the
+medians and the pairs the change won.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import importlib.util
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -37,7 +40,7 @@ if importlib.util.find_spec("prodquot") is None:
     sys.path.append(SRC)
 sys.path.append(os.path.join(ROOT, "pipebench"))
 
-from child import PROBE_REF_S, probe_once  # noqa: E402  (pipebench/child.py)
+from child import HostSpeed  # noqa: E402  (pipebench/child.py)
 
 
 def git_sha() -> str:
@@ -60,19 +63,27 @@ def git_sha() -> str:
     return head.stdout.strip() + ("-dirty" if dirty.stdout.strip() else "")
 
 
-def host_factor() -> float:
-    """Host slowness now against pipebench's reference host: the fastest of
-    three probes over the probe's reference time."""
-    return min(probe_once() for _ in range(3)) / PROBE_REF_S
+def sampled(fn, *args) -> tuple:
+    """``fn(*args)`` and the host factor over its run: the mean of the
+    ``HostSpeed`` samples taken from just before the call to just after it.
+    The probe timer and the previous SIGPROF handler are restored after."""
+    handler = signal.getsignal(signal.SIGPROF)
+    speed = HostSpeed()
+    try:
+        speed.mark()
+        result = fn(*args)
+        speed.mark()
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, handler)
+    return result, round(speed.factor(0, len(speed.samples) - 1), 3)
 
 
 def run_child(script: str, src: str, argv: list[str], timeout: float | None = None) -> dict | None:
     """Run ``script --child *argv`` in a fresh interpreter importing the
-    package under ``src`` and return the JSON object it prints, with
-    "host_factor", the mean of the samples just before and just after it.
-    A child still running after ``timeout`` seconds is stopped and counts as
-    unfinished: None."""
-    start = host_factor()
+    package under ``src`` and return the JSON object it prints, which
+    carries the child's own "host_factor".  A child still running after
+    ``timeout`` seconds is stopped and counts as unfinished: None."""
     try:
         out = subprocess.run(
             [sys.executable, script, "--child", *argv],
@@ -84,9 +95,7 @@ def run_child(script: str, src: str, argv: list[str], timeout: float | None = No
         )
     except subprocess.TimeoutExpired:
         return None
-    run = json.loads(out.stdout)
-    run["host_factor"] = round((start + host_factor()) / 2, 3)
-    return run
+    return json.loads(out.stdout)
 
 
 def srcs(base: str | None) -> dict[str, str]:
@@ -176,20 +185,24 @@ def _header(args) -> dict:
 
 
 def main(parser, parent, table, child=None, argv=None) -> int:
-    """Run a benchmark script.  A child prints ``child(args)`` as JSON.
-    Otherwise ``parent(args)`` returns (results, ok); the record is the
-    Python version, the git SHA, --runs and --repeats, the results and
-    "host_factor", the factor at the start and at the end of the run.  It is
+    """Run a benchmark script.  A child prints ``child(args)`` as JSON, with
+    the host factor over that call.  Otherwise ``parent(args)`` returns
+    (results, ok); the record is the Python version, the git SHA, --runs and
+    --repeats and the results, and for a script without children, which
+    measures in process, the host factor over ``parent(args)``.  It is
     printed as JSON with --json, else by ``table(record, ok)``; the exit
     code is 1 unless ok."""
     args = parser.parse_args(argv)
     if getattr(args, "child", False):
-        print(json.dumps(child(args)))
+        record, factor = sampled(child, args)
+        print(json.dumps({**record, "host_factor": factor}))
         return 0
-    start = host_factor()
-    results, ok = parent(args)
+    if child is None:
+        (results, ok), factor = sampled(parent, args)
+        results["host_factor"] = factor
+    else:
+        results, ok = parent(args)
     doc = {**_header(args), **results}
-    doc["host_factor"] = [round(start, 3), round(host_factor(), 3)]
     if args.json:
         print(json.dumps(doc, indent=1))
     else:

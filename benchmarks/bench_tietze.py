@@ -77,6 +77,7 @@ def child(args) -> dict:
     tracing, so the traced peak does not depend on how much garbage the
     imports left behind."""
     import gc
+    import signal
     import tracemalloc
 
     from prodquot.cli import parse_job, render_report, run_job
@@ -87,6 +88,7 @@ def child(args) -> dict:
         return render_report(run_job(parse_job(text)))
 
     if args.trace:
+        signal.setitimer(signal.ITIMER_PROF, 0)  # host probes allocate; none runs traced
         gc.collect()
         tracemalloc.start()
         run()

@@ -8,9 +8,8 @@ The relation matrices met in practice are tall: the verify search's kernels
 give index x relators rows over 2 * index + 1 columns, most rows with an
 entry +-1 (Havas-Holt-Rees, "Recognizing badly presented Z-modules", 1993).
 ``smith_diagonal`` reads the rows one at a time, never copies the matrix and
-holds a few rows per column, in three phases.  Before them, a row equal to
-one of the first 2n distinct rows read (n columns, one tuple kept for each)
-is skipped: a repeated row does not change the lattice.
+holds a few rows per column, in three phases.  A repeated row goes through
+them like any other; a reduced row already held is not kept twice (phase 2).
 
 1. Unit pivots.  Each row is reduced by the unit pivots found so far.  A
    reduced row w with an entry +-1 at column k becomes the next pivot: Z^n
@@ -69,21 +68,16 @@ class AbelianInvariants:
 def smith_diagonal(matrix: Iterable[Sequence[int]]) -> list[int]:
     """Nonzero diagonal d1 | d2 | ... of the Smith normal form of matrix.
     Rows are read once, in order, and never modified; zero and repeated rows
-    are allowed, and a repeat of one of the first 2n distinct rows is skipped."""
+    are allowed."""
     cols: list[int] = []  # the original columns not removed by a unit pivot
     pivot_cols: list[int] = []  # each unit pivot's original column
     pivot_rows: list[list[int]] = []  # ... and its row over cols
     echelon: dict[int, list[int]] = {}  # leading position -> row over cols
     pending: list[list[int]] = []  # distinct reduced rows not merged yet
     mod = 0  # D of the module docstring; 0 until the echelon has full rank
-    seen: set[tuple[int, ...]] = set()  # the first distinct rows read, two per column
     for i, v in enumerate(matrix):
         if not i:
             cols = list(range(len(v)))
-        if (row := tuple(v)) in seen:
-            continue
-        if len(seen) < 2 * len(v):
-            seen.add(row)
         w = [v[c] for c in cols]
         for c, p in zip(pivot_cols, pivot_rows):
             c = v[c]

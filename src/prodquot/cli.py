@@ -183,7 +183,8 @@ def _parse_group(doc: Any, path: str) -> tuple[FiniteGroup, dict]:
         for k, item in enumerate(gen_lists)
     ]
     try:
-        group = FiniteGroup(perms, degree=degree) if perms else trivial_group(degree)
+        # with no generators the group is trivial: its points are not listed
+        group = FiniteGroup(perms, degree=degree) if perms else trivial_group()
     except GroupTooLarge as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     echo = {"degree": degree, "generators": [list(p.images) for p in perms]}
@@ -210,7 +211,10 @@ def _parse_projection(
     ]
     nontrivial = [p for p in perms if not p.is_identity()]
     try:
-        target = FiniteGroup(nontrivial, degree=degree) if nontrivial else trivial_group(degree)
+        if nontrivial:
+            target = FiniteGroup(nontrivial, degree=degree)
+        else:  # lists its points only as long as the images do
+            target = trivial_group(degree if perms else 1)
         hom = GroupHom(group, target, [target.element_index(p) for p in perms])
     except (GroupTooLarge, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from exc

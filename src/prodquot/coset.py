@@ -6,10 +6,12 @@ Words are column-coded: generator g forward is column 2*g, backward is
 2*g + 1, so the inverse of a column is column ^ 1.  Dead cosets are tracked
 through a union-find list whose merges always keep the smaller label, and
 coincidences are processed through a FIFO queue.  Completed tables are
-compressed and standardized, so for a fixed presentation, subgroup words and
-budget the resulting table is reproducible.  The preimage of a subgroup of
-a product of finite groups needs no enumeration: ``fiber_product_table``
-reads its table off the cosets of that subgroup.
+compressed and standardized (cosets relabelled in first-visit row-major
+order), so for a fixed presentation, subgroup words and budget the resulting
+table is reproducible.  The preimage of a subgroup of a product of finite
+groups needs no enumeration: ``fiber_product_table`` reads its table off the
+cosets of that subgroup, numbering them in that same order as it meets them,
+so its table comes out standardized as built.
 """
 
 from __future__ import annotations
@@ -129,12 +131,14 @@ def fiber_product_table(
         for a in factor_images
         for x in (a, h.inv_idx(a))  # the generator's column, then its inverse's
     ]
+    # numbered as first met, row by row: each new state's edge is a tree edge
     states = [(0,) * len(muls)]
     index = {states[0]: 0}
-    raw: list[list[int]] = []
-    for r in states:  # grows as cosets are found
+    table: list[list[int]] = []
+    tree: list[tuple[int, int]] = []
+    for coset, r in enumerate(states):  # grows as cosets are found
         row = []
-        for j, x, d in columns:
+        for col, (j, x, d) in enumerate(columns):
             if j:
                 t = r[: j - 1] + (muls[j - 1][r[j - 1]][x],) + r[j:]
             else:
@@ -144,10 +148,10 @@ def fiber_product_table(
             if t not in index:
                 index[t] = len(states)
                 states.append(t)
+                tree.append((coset, col))
             row.append(index[t])
-        raw.append(row)
-    table, tree = _compress_standardize(raw, list(range(len(states))))
-    return CosetTable(p, table, tree)
+        table.append(row)
+    return CosetTable(p, table, tuple(tree))
 
 
 def _hlt_enumerate(ncols, rels, subs, max_cosets):

@@ -14,8 +14,6 @@ from .words import (
     _NAME,
     format_word,
     parse_word,
-    signed_letters,
-    word_from_letters,
     word_product,
     word_to_cols,
 )
@@ -167,10 +165,20 @@ class _Code:
         self.fold = {x: base + abs(x - base) for x in codes}  # g^-1 -> g
 
     def encode(self, word: Word) -> str:
-        return "".join([chr(self.base + c) for c in signed_letters(word)])
+        """A letter (gen, exp) is a run of |exp| copies of one code."""
+        base = self.base
+        return "".join(
+            [chr(base + g + 1) * e if e > 0 else chr(base - g - 1) * -e for g, e in word.letters]
+        )
 
     def decode(self, s: str) -> Word:
-        return word_from_letters([ord(ch) - self.base for ch in s])
+        """The word of a freely reduced code: each run of one character is
+        one (gen, exp) letter."""
+        letters = []
+        for ch, run in itertools.groupby(s):
+            c, e = ord(ch) - self.base, len(list(run))
+            letters.append((c - 1, e) if c > 0 else (-c - 1, -e))
+        return Word(tuple(letters))
 
     def inverse(self, s: str) -> str:
         return s[::-1].translate(self.flip)

@@ -477,28 +477,19 @@ def kill_maps(
     return kills
 
 
-def _sorted_kill(
-    vector: GeneratingVector, kill: dict[int, set[int]]
-) -> dict[int, tuple[int, ...]]:
-    """Translate period indices from input order to signature (sorted) order."""
-    slots: dict[int, list[int]] = {}
-    for pos, m in enumerate(vector.signature.periods):
-        slots.setdefault(m, []).append(pos)
-    out: dict[int, tuple[int, ...]] = {}
-    for q, m in enumerate(vector.periods):
-        pos = slots[m].pop(0)
-        if q in kill:
-            out[pos] = tuple(sorted(kill[q]))
-    return out
-
-
 def quotient_signatures(
     actions: Sequence[CurveAction], kills: Sequence[dict[int, set[int]]]
 ) -> tuple[Signature, ...]:
-    return tuple(
-        quotient_signature(a.signature, _sorted_kill(a.vector, kill))
-        for a, kill in zip(actions, kills)
-    )
+    """Each factor's signature after its kills, which are keyed by the
+    vector's period order: a stable argsort places them in the signature's."""
+    out = []
+    for a, kill in zip(actions, kills):
+        periods = a.vector.periods
+        order = sorted(range(len(periods)), key=periods.__getitem__)
+        out.append(
+            quotient_signature(a.signature, {i: kill[q] for i, q in enumerate(order) if q in kill})
+        )
+    return tuple(out)
 
 
 def _order_probe(p: Presentation, max_cosets: int) -> Optional[int]:

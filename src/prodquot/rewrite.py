@@ -214,9 +214,11 @@ def subgroup_abelian_invariants(ambient: Presentation, table: CosetTable) -> Abe
 
 
 def evaluate_word(word: Word, gen_values: Sequence[int], group) -> int:
-    """Evaluate a word in a finite group; gen_values are element indices."""
+    """Evaluate a word in a finite group; gen_values are element indices.
+    An exponent is taken modulo |G|, which every element's order divides."""
     mul = group.cayley_table()
     inverses = [group.inv_idx(v) for v in gen_values]
+    order = group.order
     acc = 0
     for g, e in word.letters:
         if e > 0:
@@ -224,7 +226,7 @@ def evaluate_word(word: Word, gen_values: Sequence[int], group) -> int:
         else:
             v = inverses[g]
             e = -e
-        for _ in range(e):
+        for _ in range(e % order):
             acc = mul[acc][v]
     return acc
 

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def _reduce(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
@@ -61,13 +61,6 @@ class Word:
     def __len__(self) -> int:
         return sum(abs(e) for _, e in self.letters)
 
-    def single_letters(self) -> Iterator[tuple[int, int]]:
-        """Yield (gen, +-1) letters with exponents expanded."""
-        for gen, exp in self.letters:
-            step = 1 if exp > 0 else -1
-            for _ in range(abs(exp)):
-                yield gen, step
-
     def generators(self) -> set[int]:
         return {g for g, _ in self.letters}
 
@@ -106,11 +99,6 @@ def word_to_cols(word: Word) -> list[int]:
 def word_from_letters(letters: Sequence[int]) -> Word:
     """Build a word from signed single letters: +-(gen+1)."""
     return free_reduce(((abs(c) - 1, 1 if c > 0 else -1) for c in letters))
-
-
-def signed_letters(word: Word) -> list[int]:
-    """Inverse of ``word_from_letters``: +-(gen+1) per single letter."""
-    return [(g + 1) * s for g, s in word.single_letters()]
 
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import signal
 import sys
 import time
 
@@ -46,6 +47,14 @@ def test_summary_on_hand_made_numbers():
     assert (s["pairs_won"], s["pairs"]) == (3, 5)
     assert bench.summarize([2.0, 2.0], [2.0, 2.0])["pairs_won"] == 0
     assert bench.summarize([0.5]) == {"after": {"median": 0.5, "quartiles": None, "iqr": None}}
+
+
+def test_a_sampled_call_restores_the_profiling_timer():
+    handler = signal.getsignal(signal.SIGPROF)
+    result, factor = bench.sampled(sum, range(10))
+    assert result == 45 and factor > 0  # the probes at both ends at least
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGPROF) is handler
 
 
 def test_a_child_past_its_timeout_comes_back_unfinished(tmp_path):

@@ -363,6 +363,18 @@ def test_s10_group_is_rejected_at_the_group_in_milliseconds(tmp_path, capsys):
     assert elapsed < 1.0
 
 
+def test_huge_exponent_in_a_vector_word_is_evaluated_in_milliseconds():
+    # an exponent is taken modulo |G| before it is multiplied out; g0 has
+    # order 2, so g0^(10**18 + 1) is g0 and the answers are kummer's own
+    doc = json.loads(bundled_job_text("kummer"))
+    doc["actions"][0]["vector"]["c"][0] = "g0^1000000000000000001"
+    start = time.perf_counter()
+    report = run_job(parse_job(json.dumps(doc)))
+    assert time.perf_counter() - start < 1.0
+    assert report["job"]["actions"][0]["vector"]["c"][0] == "g0^1000000000000000001"
+    assert report["results"] == run_job(load_bundled_job("kummer"))["results"]
+
+
 @pytest.mark.parametrize("name", bundled_job_names())
 def test_default_outputs_abelianize_pi1_once(monkeypatch, name):
     # the abelianization output and the structure report share one SNF

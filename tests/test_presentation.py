@@ -29,7 +29,12 @@ from prodquot.presentation import (
     transport_word,
 )
 from prodquot.rewrite import evaluate_word
-from prodquot.words import Word, signed_letters, word_from_letters
+from prodquot.words import Word, word_from_letters
+
+
+def signed_letters(word: Word) -> list[int]:
+    """The inverse of ``word_from_letters``: +-(gen+1) per single letter."""
+    return [(g + 1) * (1 if e > 0 else -1) for g, e in word.letters for _ in range(abs(e))]
 
 
 def test_presentation_validation():

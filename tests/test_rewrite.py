@@ -202,7 +202,7 @@ def _reference_rs(ambient, table):
     def rewrite(word):
         out = []
         c = 0
-        for g, s in word.single_letters():
+        for g, s in ((g, 1 if e > 0 else -1) for g, e in word.letters for _ in range(abs(e))):
             if s > 0:
                 gen = gen_of_edge.get((c, g))
                 c = rows[c][2 * g]

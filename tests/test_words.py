@@ -3,13 +3,12 @@ import random
 
 import pytest
 
+from prodquot.presentation import _Code
 from prodquot.words import (
     Word,
     format_word,
     free_reduce,
     parse_word,
-    signed_letters,
-    word_from_letters,
 )
 
 NAMES = ["a", "b", "c"]
@@ -86,19 +85,20 @@ def test_shift_offsets_generator_ids():
     assert w.shift(5) == Word(((5, 1), (6, -1)))
 
 
-def test_signed_letters_round_trip():
+def test_letter_code_round_trips_random_words():
+    """Tietze's one-character code writes a letter (gen, exp) as a run of
+    |exp| characters, one per single letter, and reads the runs back."""
     rng = random.Random(7)
-    for _ in range(200):
+    code = _Code(len(NAMES))
+    for _ in range(500):
         letters = [
-            (rng.randrange(3), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(6)
+            (rng.randrange(3), rng.choice([-5, -3, -2, -1, 1, 2, 3, 5]))
+            for _ in range(rng.randrange(9))
         ]
         w = free_reduce(letters)
-        assert word_from_letters(signed_letters(w)) == w
-    assert word_from_letters([]) == Word()
-    assert signed_letters(parse_word("a*b^-1", IDS)) == [1, -2]
-
-
-def test_len_counts_single_letters():
-    w = parse_word("a^3*b^-2", IDS)
-    assert len(w) == 5
-    assert list(w.single_letters()) == [(0, 1), (0, 1), (0, 1), (1, -1), (1, -1)]
+        text = code.encode(w)
+        assert len(text) == len(w) == sum(abs(e) for _, e in w.letters)
+        assert code.decode(text) == w
+    assert code.encode(Word()) == "" and code.decode("") == Word()
+    # a = +1 -> chr(4), b^-1 = -2 -> chr(1)
+    assert code.encode(parse_word("a^3*b^-2", IDS)) == "\x04\x04\x04\x01\x01"
