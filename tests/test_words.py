@@ -85,9 +85,9 @@ def test_shift_offsets_generator_ids():
     assert w.shift(5) == Word(((5, 1), (6, -1)))
 
 
-def test_letter_code_round_trips_random_words():
+def test_signed_letters_round_trip():
     """Tietze's one-character code writes a letter (gen, exp) as a run of
-    |exp| characters, one per single letter, and reads the runs back."""
+    |exp| signed-letter characters and reads the runs back."""
     rng = random.Random(7)
     code = _Code(len(NAMES))
     for _ in range(500):
@@ -96,9 +96,19 @@ def test_letter_code_round_trips_random_words():
             for _ in range(rng.randrange(9))
         ]
         w = free_reduce(letters)
-        text = code.encode(w)
-        assert len(text) == len(w) == sum(abs(e) for _, e in w.letters)
-        assert code.decode(text) == w
+        assert code.decode(code.encode(w)) == w
     assert code.encode(Word()) == "" and code.decode("") == Word()
     # a = +1 -> chr(4), b^-1 = -2 -> chr(1)
-    assert code.encode(parse_word("a^3*b^-2", IDS)) == "\x04\x04\x04\x01\x01"
+    assert code.encode(parse_word("a*b^-1", IDS)) == "\x04\x01"
+
+
+def test_len_counts_single_letters():
+    w = parse_word("a^3*b^-2", IDS)
+    assert len(w) == 5
+    assert _Code(len(NAMES)).encode(w) == "\x04\x04\x04\x01\x01"
+    rng = random.Random(11)
+    for _ in range(200):
+        w = free_reduce(
+            [(rng.randrange(3), rng.choice([-3, -2, -1, 1, 2, 3])) for _ in range(6)]
+        )
+        assert len(w) == len(_Code(len(NAMES)).encode(w)) == sum(abs(e) for _, e in w.letters)
