@@ -6,8 +6,10 @@ in pipebench/frozen/classify_pool.json (read, never written).  Each raw pi1
 presentation has 57 generators and 176 relators, and most of a run goes to
 the overlap phase of ``tietze_simplify``.  Each measurement is one job in a
 fresh interpreter: ``parse_job`` -> ``run_job`` -> ``render_report``, the
-work of ``prodquot run``, timed --repeats times; the measurement is the
-fastest repeat, since a job timed once per interpreter moved by 10-20%
+work of ``prodquot run``.  A repeat runs the job back to back until it spans
+SPAN_S seconds and takes the time per call, so a 10 ms job is timed over
+about 20 calls and a 0.3 s job over one; the measurement is the fastest of
+--repeats repeats, since a job timed once per interpreter moved by 10-20%
 between identical runs on a shared host.  For each job and side, one more
 interpreter runs the job once under ``tracemalloc`` and records its peak of
 traced memory; tracing slows the run many times over, so a traced run past
@@ -39,6 +41,7 @@ POOL_FILE = os.path.join(bench.ROOT, "pipebench", "frozen", "classify_pool.json"
 STRATA = ("D4 (1;2,2)x(1;2,2) free", "Z2xZ4 (1;2,2)x(1;2,2) free")
 BASE_LIMIT = 60.0  # seconds before a base run is stopped
 TRACE_LIMIT = 300.0  # seconds before a traced run is stopped
+SPAN_S = 0.2  # seconds of back-to-back calls in one repeat
 
 # job name -> sha256 of its run report (render_report text, UTF-8), computed
 # with the overlap phase that rescans after every hit
@@ -71,13 +74,15 @@ def load_jobs() -> dict[str, str]:
 
 
 def child(args) -> dict:
-    """One job in this interpreter: "s", the fastest of --repeats runs, and
-    "digest", None when the repeats' reports differ; or with --trace,
+    """One job in this interpreter: "s", the seconds per call of the fastest
+    of --repeats repeats, "calls", that repeat's number of calls, and
+    "digest", None when the calls' reports differ; or with --trace,
     "peak_mb" of one run under tracemalloc.  The collector runs before
     tracing, so the traced peak does not depend on how much garbage the
     imports left behind."""
     import gc
     import signal
+    import time
     import tracemalloc
 
     from prodquot.cli import parse_job, render_report, run_job
@@ -93,9 +98,26 @@ def child(args) -> dict:
         tracemalloc.start()
         run()
         return {"peak_mb": round(tracemalloc.get_traced_memory()[1] / 1e6, 3)}
-    seconds, reports = bench.best_of(args.repeats, run)
-    digests = {hashlib.sha256(report.encode()).hexdigest() for report in reports}
-    return {"s": round(seconds, 4), "digest": digests.pop() if len(digests) == 1 else None}
+    digests = set()
+
+    def repeat() -> tuple[float, int]:
+        """Seconds per call and calls, over calls spanning SPAN_S seconds;
+        the reports are hashed after the clock stops."""
+        reports, start = [], time.perf_counter()
+        while True:
+            reports.append(run())
+            elapsed = time.perf_counter() - start
+            if elapsed >= SPAN_S:
+                break
+        digests.update(hashlib.sha256(report.encode()).hexdigest() for report in reports)
+        return elapsed / len(reports), len(reports)
+
+    seconds, calls = min(repeat() for _ in range(args.repeats))
+    return {
+        "s": round(seconds, 5),
+        "calls": calls,
+        "digest": digests.pop() if len(digests) == 1 else None,
+    }
 
 
 def side_record(name: str, runs: list, src: str) -> dict:
@@ -105,8 +127,9 @@ def side_record(name: str, runs: list, src: str) -> dict:
     traced = bench.run_child(__file__, src, ["--job", name, "--trace"], TRACE_LIMIT)
     return {
         "finished": True,
-        "median_s": round(statistics.median(r["s"] for r in runs), 4),
+        "median_s": round(statistics.median(r["s"] for r in runs), 5),
         "runs_s": [r["s"] for r in runs],
+        "calls": [r["calls"] for r in runs],
         "peak_mb": traced and traced["peak_mb"],
         "digest_ok": all(r["digest"] == REPORT_DIGESTS[name] for r in runs),
         "digest": runs[0]["digest"],
@@ -128,7 +151,7 @@ def parent(args) -> tuple[dict, bool]:
         )
         entry = {key: side_record(name, runs, srcs[key]) for key, runs in sides.items()}
         if entry.get("before", {}).get("finished"):
-            summary = bench.summarize(entry["after"]["runs_s"], entry["before"]["runs_s"])
+            summary = bench.summarize(entry["after"]["runs_s"], entry["before"]["runs_s"], 5)
             entry["speedup"] = summary["speedup"]
             entry["summary"] = summary
         jobs[name] = entry

@@ -43,8 +43,9 @@ from importlib import resources
 from typing import Any, Optional, Sequence
 
 from .coset import CosetOverflow
-from .orbifold import GeneratingVector, enumerate_generating_vectors
+from .orbifold import GeneratingVector, _vector_images
 from .perm import (
+    MAX_ORDER,
     FiniteGroup,
     GroupHom,
     GroupTooLarge,
@@ -106,11 +107,15 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
-def _as_int(value: Any, path: str, minimum: Optional[int] = None) -> int:
+def _as_int(
+    value: Any, path: str, minimum: Optional[int] = None, maximum: Optional[int] = None
+) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{path}: expected an integer")
     if minimum is not None and value < minimum:
         _fail(path, f"must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        _fail(path, f"must be <= {maximum}")
     return value
 
 
@@ -328,8 +333,13 @@ def parse_job(document: str) -> Job:
     budgets_doc = _as_dict(top.get("budgets", {}), "budgets")
     keys = tuple(f.name for f in fields(Budgets))
     _check_keys(budgets_doc, keys, "budgets")
+    # no verify quotient above perm.MAX_ORDER can be built, and the search
+    # lists its whole catalogue up to the bound first
     budgets = Budgets(**{
-        key: _as_int(budgets_doc[key], f"budgets.{key}", minimum=1)
+        key: _as_int(
+            budgets_doc[key], f"budgets.{key}", 1,
+            MAX_ORDER if key == "verify_index_bound" else None,
+        )
         for key in keys if key in budgets_doc
     })
 
@@ -392,25 +402,23 @@ def _pi1_doc(res: Pi1Result, group: FiniteGroup) -> dict:
 
 
 def _enumerate_doc(actions: Sequence[CurveAction]) -> list[dict]:
-    """One section per action; factors with the same acting group, genus and
-    periods share one section, and equal image tuples one list of names."""
+    """One section per action, from orbifold's image tuples; factors with the
+    same acting group, genus and periods share one section, and equal image
+    tuples one list of names."""
     keys = [(a.acting_group, a.vector.genus, a.vector.periods) for a in actions]
     sections: dict[tuple, dict] = {}
     for key in keys:
         if key in sections:
             continue
-        h, genus, periods = key
-        vectors = enumerate_generating_vectors(h, genus, periods)
+        h = key[0]
+        vectors = _vector_images(*key)
         names = [_element_word(h, e) for e in range(h.order)]
-        named = dict.fromkeys(t for w in vectors for t in (w.a_images, w.b_images, w.c_images))
+        named = dict.fromkeys(t for w in vectors for t in w)
         for images in named:
             named[images] = [names[e] for e in images]
         sections[key] = {
             "count": len(vectors),
-            "vectors": [
-                {"a": named[w.a_images], "b": named[w.b_images], "c": named[w.c_images]}
-                for w in vectors
-            ],
+            "vectors": [{"a": named[a], "b": named[b], "c": named[c]} for a, b, c in vectors],
         }
     return [sections[key] for key in keys]
 
@@ -667,10 +675,10 @@ def _cmd_list_jobs(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _budget_override(text: str) -> int:
+def _budget_override(text: str, maximum: Optional[int] = None) -> int:
     """argparse type of the budget flags: the same rule as ``budgets.*``."""
     try:
-        return _as_int(int(text), repr(text), minimum=1)
+        return _as_int(int(text), repr(text), 1, maximum)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -690,7 +698,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--tietze-steps", type=_budget_override, help="simplification budget override"
         )
         p.add_argument(
-            "--index-bound", type=_budget_override, help="verification quotient bound override"
+            "--index-bound",
+            type=lambda text: _budget_override(text, MAX_ORDER),
+            help="verification quotient bound override",
         )
         p.add_argument("--out", help="report file (default stdout)")
         p.add_argument("--quiet", action="store_true", help="suppress progress lines")

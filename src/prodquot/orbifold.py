@@ -6,7 +6,10 @@ b_g, c_1, ..., c_r, the power relators c_i^{m_i}, and one long relator
 a finite group under which every c_i image has order exactly m_i; vectors
 remember the period order they were written in, while Signature is canonical
 (periods sorted ascending).  ``enumerate_generating_vectors`` lists them in
-a fixed order, stated in its docstring, which reports print as it is.
+a fixed order, stated in its docstring, which reports print as it is.  One
+private stream, ``_vector_images``, lists each vector's (a, b, c) image
+tuples in that order: the public list wraps each in a ``GeneratingVector``,
+and the ``enumerate`` report section reads the tuples themselves.
 """
 
 from __future__ import annotations
@@ -213,9 +216,15 @@ def enumerate_generating_vectors(
     taken once per call.  The vectors kept are those that generate h, tested
     once per call for each set of elements they hold (a bitmask of indices).
     """
+    periods = tuple(periods)
+    return [GeneratingVector(h, genus, periods, *v) for v in _vector_images(h, genus, periods)]
+
+
+def _vector_images(h: FiniteGroup, genus: int, periods: tuple[int, ...]) -> list[tuple]:
+    """The (a_images, b_images, c_images) of each generating vector, in the
+    order of ``enumerate_generating_vectors``."""
     if h.order > ENUMERATION_MAX_ORDER:
         raise GroupTooLarge(f"vector enumeration capped at order {ENUMERATION_MAX_ORDER}")
-    periods = tuple(periods)
     n = h.order
     orders = [h.element_order(e) for e in range(n)]
     pools = [[e for e in range(n) if orders[e] == m] for m in periods]
@@ -242,7 +251,7 @@ def enumerate_generating_vectors(
         for i in range(0, len(lead), 2):
             acc = mul[acc][comm[lead[i]][lead[i + 1]]]
         leads.append((lead, sum(1 << e for e in {*lead}), inv[acc]))
-    results: list[GeneratingVector] = []
+    results = []
     # whether a set of elements generates h, per set met in this call
     generating: dict[int, bool] = {}
     for cs in itertools.product(*(pools[:-1] if solve_last else pools)):
@@ -264,9 +273,7 @@ def enumerate_generating_vectors(
                     generates = generating[mask] = len(h.generated((*lead, *last, *cs))) == n
                 if generates:
                     abs_ = lead + last
-                    results.append(
-                        GeneratingVector(h, genus, periods, abs_[0::2], abs_[1::2], cs)
-                    )
+                    results.append((abs_[0::2], abs_[1::2], cs))
     return results
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -128,7 +129,7 @@ def quotient_presentation(p: Presentation, extra: Iterable[Word]) -> Presentatio
 # (length, word) sort and the choice of the least generator need.  Inversion
 # is a reversal and one ``translate``, substitution is ``replace`` then one
 # free-reduction pass where letters can cancel, and a window of letters is a
-# substring that ``str.find`` can locate.
+# substring: an overlap pair is tested with ``in``, and no window is cached.
 
 _OVERLAP_MAX_RELATORS = 48
 _OVERLAP_MAX_LEN = 512
@@ -240,21 +241,24 @@ def _find_overlap(rels: list[_Relator], code: _Code) -> Optional[tuple[int, str]
 
     A rule that gave no hit on any target is searched again only against the
     targets built since, in list order; a target skips the rules that
-    already missed it."""
-    # positions, newest record first
-    newest = sorted(range(len(rels)), key=lambda j: rels[j].stamp, reverse=True)
-    latest = rels[newest[0]].stamp if rels else None
+    already missed it.  The variants are searched in order only on a hit."""
+    stamps = [rec.stamp for rec in rels]
+    by_stamp = sorted(range(len(rels)), key=stamps.__getitem__)  # positions, oldest first
+    stamps.sort()
+    latest = stamps[-1] if rels else None
     for i, rec in enumerate(rels):
         rule = rec.word
         ell = len(rule)
         if ell < 2 or ell > _OVERLAP_RULE_MAX:
             continue
-        half = ell // 2 + 1
         clean = rec.clean
         if clean is None:
             targets: Iterable[int] = range(len(rels))
+        elif clean >= latest:
+            continue
         else:
-            targets = sorted(itertools.takewhile(lambda j: rels[j].stamp > clean, newest))
+            targets = sorted(by_stamp[bisect.bisect_right(stamps, clean) :])
+        half = ell // 2 + 1
         heads = rec.heads
         if heads is None:
             # variants in scan order: rotation 0, inverse rotation 0,
@@ -270,12 +274,13 @@ def _find_overlap(rels: list[_Relator], code: _Code) -> Optional[tuple[int, str]
             known = target.misses
             if known is not None and stamp in known:
                 continue
-            for v, head in enumerate(heads):
-                s = word.find(head)
-                if s >= 0:
-                    variant = rule if v % 2 == 0 else code.inverse(rule)
-                    tail = (variant * 2)[v // 2 + half : v // 2 + ell]
-                    return j, code.reduce(word[:s] + code.inverse(tail) + word[s + half :])
+            if any(map(word.__contains__, heads)):
+                for v, head in enumerate(heads):
+                    s = word.find(head)
+                    if s >= 0:
+                        variant = rule if v % 2 == 0 else code.inverse(rule)
+                        tail = (variant * 2)[v // 2 + half : v // 2 + ell]
+                        return j, code.reduce(word[:s] + code.inverse(tail) + word[s + half :])
             if known is None:
                 known = target.misses = set()
             known.add(stamp)
@@ -328,8 +333,10 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
     in order.  Records are stamped in build order; a rule that gave no hit
     on any target is searched again only against the targets built since,
     and each target remembers the stamps of the rules that missed it.  A
-    rule's heads are cut once per record, and a head's first position in a
-    target is one ``str.find``.
+    rule's heads are cut once per record.  Whether a pair hits at all is one
+    C-level pass, ``any(map(word.__contains__, heads))``; only then are the
+    heads searched one by one with ``str.find``.  No window of a target is
+    cached: sets of every target's windows per head length cost megabytes.
     """
     code = _Code(p.ngens)
     inverse_char = code.inverse_char
@@ -388,10 +395,11 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
         return rels, slots
 
     images: dict[str, str] = {}  # eliminated generator -> its image, in elimination order
+    heappop, heappush, reduce = heapq.heappop, heapq.heappush, code.reduce
     steps = 0
     while slot_of and steps < budget:
         if heap:
-            n, slot = divmod(heapq.heappop(heap), nslots)
+            n, slot = divmod(heappop(heap), nslots)
             rel = words[slot]
             if len(rel) != n:
                 continue
@@ -411,7 +419,9 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
             images[gen] = image
             put(slot, "")
             changed = []
-            head, tail = image[:1], image[-1:]
+            if image:  # the letter pairs that cancel where an image meets a neighbour
+                head, tail = inverse_char[image[0]] + image[0], image[-1] + inverse_char[image[-1]]
+            keeps_length = len(image) == 1
             for s in holders.pop(gen):
                 w = words[s]
                 if gen not in w and gen_inv not in w:
@@ -420,7 +430,7 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
                 # letters can cancel only where an image meets a neighbour
                 if image:
                     new = w.replace(gen, image).replace(gen_inv, image_inv)
-                    cancels = inverse_char[head] + head in new or tail + inverse_char[tail] in new
+                    cancels = head in new or tail in new
                 else:
                     pieces = w.replace(gen_inv, gen).split(gen)
                     new = pieces[0]
@@ -431,11 +441,23 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
                                 cancels = True
                             new += piece
                 if cancels or (new and new[0] == inverse_char[new[-1]]):
-                    new = code.reduce(new)
-                if put(s, new):
+                    new = reduce(new)
+                # put(s, new), inline: w is nonempty, so slot_of holds it
+                records[s] = None
+                del slot_of[w]
+                t = slot_of.get(new)
+                if t is not None:
+                    if t < s:
+                        words[s] = ""
+                        continue
+                    words[t] = ""
+                    records[t] = None
+                words[s] = new
+                if new:
+                    slot_of[new] = s
                     changed.append(s)
-                    if len(image) != 1 or len(new) != len(w):
-                        heapq.heappush(heap, len(new) * nslots + s)
+                    if not keeps_length or len(new) != len(w):
+                        heappush(heap, len(new) * nslots + s)
             for g in set(image.translate(fold)):
                 holders[g].update(changed)
             steps += 1
@@ -450,7 +472,7 @@ def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
         # letters for l - (l // 2 + 1) and reduction only cuts.
         j, new = hit
         if put(slots[j], new):
-            heapq.heappush(heap, len(new) * nslots + slots[j])
+            heappush(heap, len(new) * nslots + slots[j])
             for g in set(new.translate(fold)):
                 holders[g].add(slots[j])
         steps += 1

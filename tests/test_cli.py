@@ -1,12 +1,14 @@
 """Tests for the job-file command line interface."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -30,6 +32,7 @@ from prodquot.cli import (
     render_report,
     run_job,
 )
+from prodquot.corpus import build_corpus
 from prodquot.orbifold import enumerate_generating_vectors
 
 
@@ -242,6 +245,31 @@ def test_identical_factors_share_one_enumerate_section(name, shared):
     assert sections[0]["count"] > 0
 
 
+def test_enumerate_sections_match_the_public_enumerator_on_the_corpus():
+    # _enumerate_doc reads orbifold's private image stream; each section must
+    # be the one built from enumerate_generating_vectors' objects, in order:
+    # every corpus group up to order 16, every sorted period tuple over its
+    # element orders, r <= 4 at genus 0 and r <= 2 at genus 1
+    cases = vectors = 0
+    for entry in build_corpus():
+        h = entry.group
+        if h.order > 16:
+            continue
+        orders = sorted({h.element_order(e) for e in range(h.order)} - {1})
+        for genus, max_r in ((0, 4), (1, 2)):
+            for r in range(max_r + 1):
+                for periods in itertools.combinations_with_replacement(orders, r):
+                    vector = SimpleNamespace(genus=genus, periods=periods)
+                    action = SimpleNamespace(acting_group=h, vector=vector)
+                    section, = cli._enumerate_doc([action])
+                    assert section == _enumerate_section_per_factor(action), (
+                        entry.name, genus, periods,
+                    )
+                    cases += 1
+                    vectors += section["count"]
+    assert cases >= 800 and vectors >= 30000
+
+
 def test_reports_are_byte_identical_across_runs():
     job = load_bundled_job("kummer")
     first = render_report(run_job(job))
@@ -363,6 +391,24 @@ def test_s10_group_is_rejected_at_the_group_in_milliseconds(tmp_path, capsys):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("bound", [1001, 10**18])
+def test_verify_index_bound_above_the_group_cap_is_rejected_at_parse(tmp_path, capsys, bound):
+    # no verification quotient above perm.MAX_ORDER can be built, and the
+    # search lists its whole catalogue of groups up to the bound first
+    doc = json.loads(bundled_job_text("kummer"))
+    doc["budgets"] = {"verify_index_bound": bound}
+    doc["outputs"] = ["verify"]
+    job = tmp_path / "job.json"
+    job.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code = main(["run", "--job", str(job), "--quiet", "--out", os.devnull])
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: budgets.verify_index_bound: must be <= 1000\n"
+    doc["budgets"] = {"verify_index_bound": 1000}
+    assert parse_job(json.dumps(doc)).budgets.verify_index_bound == 1000
+
+
 def test_huge_exponent_in_a_vector_word_is_evaluated_in_milliseconds():
     # an exponent is taken modulo |G| before it is multiplied out; g0 has
     # order 2, so g0^(10**18 + 1) is g0 and the answers are kummer's own
@@ -399,6 +445,7 @@ def test_default_outputs_abelianize_pi1_once(monkeypatch, name):
         ("--max-cosets", "0"),
         ("--tietze-steps", "-1"),
         ("--index-bound", "0"),
+        ("--index-bound", "1001"),
         ("--max-cosets", "x"),
     ],
 )

@@ -13,8 +13,9 @@ from prodquot.cli import bundled_job_names, bundled_job_text, main
 SEED = 20261020
 CASES = 500
 HUGE = (10**6, 10**9, 10**18, 2**64 + 1)
-# The verify search lists its whole catalogue before it tries an entry,
-# so a huge verify_index_bound is left out here.
+# A verify_index_bound above perm.MAX_ORDER is rejected when the job is
+# parsed; one in range is drawn at most 64, since the verify search lists
+# its whole catalogue before it tries an entry.
 MAX_INDEX_BOUND = 64
 BROKEN_WORDS = (
     "", "*", "g0^", "g0^x", "g0^-", "g0**g0", "g0^1.5", "g9", "g-1", "1*", "x y", "g0^^2",
@@ -96,12 +97,13 @@ def _huge_genus(doc, rng):
 
 
 def _budget(doc, rng):
-    """A huge budget or a budget of 1; max_cosets 1 overflows (exit 3)."""
+    """A huge budget or a small one; max_cosets 1 overflows (exit 3) and a
+    huge verify_index_bound is rejected (exit 2)."""
     key = rng.choice(["max_cosets", "tietze_steps", "verify_index_bound"])
-    if key == "verify_index_bound":
-        value = rng.randint(1, MAX_INDEX_BOUND)
+    if rng.random() < 0.5:
+        value = rng.choice(HUGE)
     else:
-        value = rng.choice(HUGE) if rng.random() < 0.5 else 1
+        value = rng.randint(1, MAX_INDEX_BOUND) if key == "verify_index_bound" else 1
     doc.setdefault("budgets", {})[key] = value
 
 

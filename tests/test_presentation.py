@@ -1,10 +1,13 @@
 """Tests for finite presentations and Tietze simplification."""
 
+import gc
 import hashlib
 import itertools
 import json
 import random
 import time
+import tracemalloc
+from pathlib import Path
 from typing import Optional, Sequence
 
 import pytest
@@ -628,3 +631,70 @@ def test_runaway_classify_candidate_report_is_unchanged_and_fast():
     elapsed = time.perf_counter() - start
     assert hashlib.sha256(text.encode()).hexdigest() == D4_FREE_1_DIGEST
     assert elapsed < 10.0
+
+
+# The twelve free (1; 2,2)^2 pairs of the classify pool, the inputs of
+# benchmarks/bench_tietze.py: each raw pi1 presentation has 57 generators and
+# 176 relators, and most of its simplification is overlap substitutions.
+POOL_FILE = Path(__file__).resolve().parent.parent / "pipebench" / "frozen" / "classify_pool.json"
+POOL_STRATA = ("D4 (1;2,2)x(1;2,2) free", "Z2xZ4 (1;2,2)x(1;2,2) free")
+
+
+def _pool_pairs() -> dict[str, str]:
+    """Job name -> document text, in pool order."""
+    pool = json.loads(POOL_FILE.read_text(encoding="utf-8"))
+    return {
+        json.loads(text)["name"]: text
+        for stratum in pool if stratum["stratum"] in POOL_STRATA
+        for text in stratum["docs"]
+    }
+
+
+def _result_digest(res: TietzeResult) -> str:
+    """sha256 of a result's generators, relators, generator images and steps."""
+    p = res.presentation
+    images = [p.text(w) for w in res.old_to_new]
+    text = json.dumps([p.gens, p.relator_texts(), images, res.steps_used])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each pair's TietzeResult (_result_digest), frozen while the
+# overlap scan still searched every head of every pair with str.find; the
+# rescanning reference above takes about 25 s on D4 #1 alone, so these
+# inputs are checked against frozen results instead
+POOL_RESULT_DIGESTS = {
+    "classify-D4-(1;2,2)x(1;2,2)-free-0": "5dbce3d5bbf567f0965557ba8b8219b72688fe9236ac014531f555e97f7cff16",
+    "classify-D4-(1;2,2)x(1;2,2)-free-1": "b194082b6ae30f5d5dc5f3ff085f54f9eb8bd59e98e3e79417dcc38f0a8b84ea",
+    "classify-D4-(1;2,2)x(1;2,2)-free-2": "6d9a2f87bf34791633087b04b7ce081a1f966fd88e3939e81c654cc37c056b2c",
+    "classify-D4-(1;2,2)x(1;2,2)-free-3": "538ced5dbcfd8b5e9a42cafd74287f4f9361a5cdd9d259f93be7d61c7cf37c11",
+    "classify-D4-(1;2,2)x(1;2,2)-free-4": "f1a6a230f63247a6b66f0b61b919dd292c6157f1193cee91183c199076a9e7a2",
+    "classify-D4-(1;2,2)x(1;2,2)-free-5": "f0286db41e40f32526e1a7ad44c6745338eb3d29ae7c097dda3dbe4896a3401b",
+    "classify-Z2xZ4-(1;2,2)x(1;2,2)-free-0": "cad8e79d9a484260e4405fb971f84c41b3832bf5bc7b053d9073c415edfbb8a4",
+    "classify-Z2xZ4-(1;2,2)x(1;2,2)-free-1": "19ab2209a1814eb2dcc8041e41225a15e945292c4b4e2ac39783420eb04d22ab",
+    "classify-Z2xZ4-(1;2,2)x(1;2,2)-free-2": "af43899b11fcde6be26da049fb7868682ce63e2291eab1f860ae42f6113e1d9b",
+    "classify-Z2xZ4-(1;2,2)x(1;2,2)-free-3": "35c76f7493e3ddcdae66042361d17ed30a4ce5066e16dddf68cb13c0d597ff87",
+    "classify-Z2xZ4-(1;2,2)x(1;2,2)-free-4": "df036715b5e89f86b0277d440757a0653663bcd14fe09c36df7873b71982c590",
+    "classify-Z2xZ4-(1;2,2)x(1;2,2)-free-5": "84bcce93c010a6902d032c90d2c23d6a64285df4924805f11ba55f70d5c0fc8c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(POOL_RESULT_DIGESTS))
+def test_overlap_phase_keeps_frozen_results_on_pool_pairs(name):
+    (p, budget), = _tietze_inputs(parse_job(_pool_pairs()[name]))
+    assert _result_digest(tietze_simplify(p, budget)) == POOL_RESULT_DIGESTS[name]
+
+
+def test_overlap_scan_memory_stays_bounded():
+    # Z/2 x Z/4 #0: 230 steps, most of them overlap substitutions.  The scan
+    # peaks near 0.3 MB here; caching each target's windows per head length
+    # as sets reads about 0.9 MB here and took D4 #3 from 0.6 to 5.4 MB.
+    doc = _pool_pairs()["classify-Z2xZ4-(1;2,2)x(1;2,2)-free-0"]
+    (p, budget), = _tietze_inputs(parse_job(doc))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        tietze_simplify(p, budget)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
