@@ -63,9 +63,13 @@ def parent(args) -> tuple[dict, bool]:
     )
     criteria = side_record(sides["after"])
     if "before" in sides:
-        for after, before in zip(criteria, side_record(sides["before"])):
+        for i, (after, before) in enumerate(zip(criteria, side_record(sides["before"]))):
             after["before"] = before
-            after["summary"] = bench.summarize(after["runs_s"], before["runs_s"], 3)
+            # from the unrounded seconds: a criterion of under half a
+            # millisecond rounds to 0, and the pair ratios divide by it
+            after["summary"] = bench.summarize(
+                *([r["criteria"][i]["seconds"] for r in sides[key]] for key in ("after", "before")), 3
+            )
     ok = all(c["passed_runs"] == args.runs for c in criteria)
     host = {key: [r["host_factor"] for r in runs] for key, runs in sides.items()}
     return {"criteria": criteria, "all_passed": ok, "host_factor_runs": host}, ok

@@ -27,7 +27,11 @@ them like any other; a reduced row already held is not kept twice (phase 2).
    kept modulo D, and the rows D * e_i join the rows held at the end
    (Domich-Kannan-Trotter).  A later full-rank echelon lowers D to its gcd
    with that echelon's product, and removing a column keeps D * Z^(r-1)
-   in L.
+   in L.  While the echelon has full rank, each later row is reduced
+   against its r rows as it comes, not kept: a row that reduces to zero
+   lies in L and is dropped, and one that stops at a pivot not dividing
+   its entry is merged at once.  A new unit pivot ends this until the
+   echelon fills again.
 3. Dense loop.  What remains -- the echelon, the rows not yet merged and,
    when a modulus is in use, the rows D * e_i -- goes through the textbook
    loop: least pivot, row and column clearing, divisibility fix.
@@ -75,6 +79,7 @@ def smith_diagonal(matrix: Iterable[Sequence[int]]) -> list[int]:
     echelon: dict[int, list[int]] = {}  # leading position -> row over cols
     pending: list[list[int]] = []  # distinct reduced rows not merged yet
     mod = 0  # D of the module docstring; 0 until the echelon has full rank
+    full: list[list[int]] = []  # the echelon's rows in order while it has full rank
     for i, v in enumerate(matrix):
         if not i:
             cols = list(range(len(v)))
@@ -91,14 +96,26 @@ def smith_diagonal(matrix: Iterable[Sequence[int]]) -> list[int]:
         else:
             if mod:
                 w = [x % mod for x in w]
-            if any(w) and w not in pending:
+            if full:
+                for j, e in enumerate(full):
+                    q = w[j] // e[j]
+                    if q:
+                        w = [(x - q * y) % mod for x, y in zip(w, e)]
+                    if w[j]:  # e[j] does not divide it: merge the rest
+                        mod = _merge(echelon, w, mod)
+                        full = [echelon[j] for j in range(len(cols))]
+                        break
+            elif any(w) and w not in pending:
                 pending.append(w)
                 if len(pending) > 2 * len(cols):
                     for e in pending:
                         mod = _merge(echelon, e, mod)
                     pending = []
+                    if mod and len(echelon) == len(cols):
+                        full = [echelon[j] for j in range(len(cols))]
             continue
         # w is the next unit pivot: map every row held along x -> x - x_k * w
+        full = []
         for held in (pivot_rows, pending):
             for e in held:
                 c = e[k]

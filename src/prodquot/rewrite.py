@@ -16,7 +16,7 @@ Group Theory, 2005): no words, no free reduction, no presentation.  When
 the subgroup is normal its coset table is the quotient's Cayley graph, so
 left translation by a coset representative carries the walk from coset 0
 onto the walk from that coset: each relator is walked once, and every
-coset's row sums the labels of the translated edges.  Whether each
+coset's row is gathered from that walk's edge counts.  Whether each
 translation commutes with the table is checked exactly; a table that fails
 the check (a non-normal subgroup) is rewritten in full, and its invariants
 are read off the presentation.
@@ -26,6 +26,7 @@ Finite groups are evaluated through their Cayley tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 from .abelian import AbelianInvariants, invariants_from_matrix
@@ -155,22 +156,25 @@ def _translated_rows(
     table and the number of Schreier generators.  Row (c, relator) counts,
     with sign, the labels that relator's walk from coset c meets, so the
     nonzero rows are those of the exponent sums of ``reidemeister_schreier``'s
-    relators, in order.  Each relator is walked once: when every coset's
+    relators, in order.  Each relator is walked once, into the net number
+    of times its walk from 0 crosses each forward edge: when every coset's
     ``_translation`` commutes with the table (the subgroup is normal, the
     table the quotient's Cayley graph), the walk from c crosses the
-    translates of the edges the walk from 0 crosses, so c's row sums their
-    labels.  None when some translation does not commute."""
-    labels, edges = _schreier_labels(table)
-    ngens = len(edges)
+    translates of those edges, and the translation permutes the edges, so
+    c's row reads, per Schreier generator, the count of the edge carried
+    onto that generator's edge: one ``itemgetter`` per coset gathers every
+    relator's row.  None when some translation does not commute."""
+    _, edges = _schreier_labels(table)
     rows = table.table
     ncols = len(rows[0])
+    m = ncols // 2
     # the table flattened: cell d * ncols + col holds its target times ncols
     step = [target * ncols for row in rows for target in row]
-    # each edge's forward cell d * ncols + 2g and the cell that crosses it
-    # backwards; the labels on the two cells are opposite
-    edges = [(cell, step[cell] + cell % ncols + 1) for cell in range(0, len(step), 2)]
+    # edge (d, g), at position d * m + g: its forward cell d * ncols + 2g
+    # and the cell that crosses it backwards
+    pairs = [(cell, step[cell] + cell % ncols + 1) for cell in range(0, len(step), 2)]
     # per relator, the net number of times its walk from 0 crosses each edge
-    crossings: list[list[tuple[int, int]]] = []
+    nets: list[list[int]] = []
     for i, cols in enumerate(ambient.relator_cols):
         counts = [0] * len(step)
         c = 0
@@ -180,25 +184,23 @@ def _translated_rows(
             c = step[cell]
         if c:
             raise ValueError(f"relator {i} walks from coset 0 to {c // ncols}")
-        crossings.append(
-            [(fwd, counts[fwd] - counts[back]) for fwd, back in edges
-             if counts[fwd] != counts[back]]
-        )
+        nets.append([counts[fwd] - counts[back] for fwd, back in pairs])
     matrix: list[list[int]] = []
+    inverse = [0] * table.index
     for c in range(table.index):
         image = _translation(table, c)
         if image is None:
             return None
-        # the translated edge's row slot; a spanning-tree edge (label 0)
-        # lands in the spare last slot, dropped below
-        slot = [label - 1 for d in image for label in labels[d]]
-        for crossing in crossings:
-            row = [0] * (ngens + 1)
-            for key, count in crossing:
-                row[slot[key]] += count
-            row.pop()
-            matrix.append(row)
-    return matrix, ngens
+        for d, t in enumerate(image):
+            inverse[t] = d
+        # the edge that c's translation carries onto each Schreier edge
+        keys = [inverse[e] * m + g for e, g in edges]
+        if len(keys) > 1:
+            get = itemgetter(*keys)
+            matrix += [list(get(net)) for net in nets]
+        else:  # itemgetter of one key returns no tuple
+            matrix += [[net[k] for k in keys] for net in nets]
+    return matrix, len(edges)
 
 
 def subgroup_abelian_invariants(ambient: Presentation, table: CosetTable) -> AbelianInvariants:

@@ -272,6 +272,68 @@ def test_the_rows_of_the_modulus_complete_the_lattice():
     assert smith_diagonal(m) == [1, 1, 1]
 
 
+# Seven rows without a unit entry, more than twice the three columns: merged
+# at once into the full-rank echelon [4, 2, 0], [0, 4, 2], [0, 0, 4] of
+# determinant 64, the modulus.  Every later row without a unit entry is
+# reduced against those rows as it comes.
+FULL_RANK_START = [[4, 2, 0], [0, 4, 2], [0, 0, 4], [4, 6, 2], [8, 4, 4], [4, -2, -2], [0, 8, 0]]
+FULL_RANK_LATER = {
+    # rows of the echelon's lattice, a zero row and a repeat: all dropped
+    "reduce to zero": [[8, 8, 2], [4, 6, 6], [0, -4, -6], [12, 6, 8], [0, 0, 0], [4, 2, 0]],
+    # [2, 0, 0] stops at the first pivot, 4, and its merge lowers the
+    # modulus to 8; the rows after it are reduced modulo 8
+    "lower the modulus": [[2, 0, 0], [0, 2, 2], [6, 4, 4], [0, 0, 2], [2, 2, 2]],
+    # [4, 4, 2] is reduced by the first row to [0, 2, 2] and stops at the
+    # second pivot, 4, which does not divide 2; its merge lowers the modulus
+    # to 16
+    "stop at a pivot": [[4, 4, 2], [8, 4, 6], [4, 2, 2], [12, 10, 4]],
+    # [1, 2, 2] is a unit pivot: column 0 goes and the echelon rows are
+    # sent back; five rows later a two-column echelon has full rank again
+    # (modulus 4), and [0, 3, 5] leaves the remainder [1, 3] there
+    "unit pivot after full rank": [
+        [8, 8, 2], [1, 2, 2], [0, 4, 6], [2, 4, 6], [0, 6, 4], [4, 8, 8], [2, 0, 4],
+        [0, 2, 8], [0, 4, 4], [0, 3, 5],
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_RANK_LATER))
+def test_rows_after_a_full_rank_echelon(case):
+    matrix = FULL_RANK_START + FULL_RANK_LATER[case]
+    _check_against_reference(matrix)
+    rng = random.Random(f"full rank:{case}")
+    for _ in range(20):
+        shuffled = [list(row) for row in matrix]
+        rng.shuffle(shuffled)
+        assert smith_diagonal(shuffled) == _reference_smith(matrix), shuffled
+
+
+def test_a_row_in_a_full_rank_lattice_costs_no_merge(monkeypatch):
+    # the seven rows that fill the echelon are merged; thirty rows of its
+    # lattice after them are not.  A row leaving a remainder is merged as it
+    # comes, and the rows after it are reduced against the echelon it left:
+    # [0, 2, 2] and the rows after it lie in that lattice, not in the first
+    import prodquot.abelian as abelian
+
+    merged = []
+    merge = abelian._merge
+
+    def counting(echelon, v, mod):
+        merged.append(list(v))
+        return merge(echelon, v, mod)
+
+    monkeypatch.setattr(abelian, "_merge", counting)
+    rng = random.Random("lattice rows")
+    lattice = _combinations(rng, FULL_RANK_START[:3], 30)
+    matrix = FULL_RANK_START + lattice
+    assert smith_diagonal(matrix) == _reference_smith(matrix) == [2, 2, 16]
+    assert len(merged) == len(FULL_RANK_START)
+    merged.clear()
+    later = [[4, 4, 2], [0, 2, 2], [8, 6, 2], [0, 6, 2], [4, 0, 6]] + lattice
+    assert smith_diagonal(matrix + later) == _reference_smith(matrix + later) == [2, 2, 4]
+    assert merged[len(FULL_RANK_START):] == [[0, 2, 2]]
+
+
 def _random_matrix(rng, rows, cols, entries, density=1.0):
     return [
         [rng.choice(entries) if rng.random() < density else 0 for _ in range(cols)]

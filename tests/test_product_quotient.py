@@ -7,10 +7,10 @@ import time
 
 import pytest
 from test_abelian import _reference_smith
-from test_rewrite import BEAUVILLE_JOB, _kernel_table, _reference_rows
+from test_rewrite import BEAUVILLE_JOB, _canonical_candidate_table, _kernel_table, _reference_rows
 
 import prodquot.product_quotient as pq
-from prodquot.abelian import smith_diagonal
+from prodquot.abelian import AbelianInvariants, smith_diagonal
 from prodquot.acceptance import _brute_force_torsion_count
 from prodquot.cli import bundled_job_names, load_bundled_job, parse_job
 from prodquot.coset import CosetOverflow, todd_coxeter
@@ -43,6 +43,7 @@ from prodquot.rewrite import (
     evaluate_word,
     kernel_subgroup_words,
     reidemeister_schreier,
+    subgroup_abelian_invariants,
 )
 from prodquot.words import Word, word_product
 
@@ -517,6 +518,38 @@ def test_first_betti_number_is_twice_the_quotient_genera(name):
     res = build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
     expected = 2 * sum(s.genus for s in res.quotient_signatures)
     assert abelian_invariants(res.presentation).free_rank == expected
+
+
+# job -> (|G|, 2 * sum of the curve genera) for the bundled jobs whose group
+# acts freely, and for Beauville's reference pair
+FREE_KERNELS = {
+    "free-z2-genus3": (2, 12),
+    "s3-free-pair": (6, 28),
+    "trivial-group-surfaces": (1, 8),
+    "z2-free-times-kummer": (2, 8),
+    "beauville": (25, 24),
+}
+
+
+def test_a_free_action_makes_the_canonical_candidate_a_product_of_surface_groups():
+    # When G acts freely, 1 -> pi1(C_1) x ... x pi1(C_n) -> pi1 -> G -> 1 is
+    # exact: the kernel of pi1 onto G / <stabilizers, K> = G has index |G|
+    # and abelianization Z^(2 * sum g(C_i)), whether or not the quotient
+    # curves are hyperbolic.  Its table is built as the verify search builds
+    # it, so this runs the translated rows and, at index 25, the SNF of a
+    # rank-deficient matrix: 27 unit pivots and no modulus.
+    jobs = {name: load_bundled_job(name) for name in bundled_job_names()}
+    free = {name for name, job in jobs.items() if freeness_check(job.actions).is_free}
+    assert free == set(FREE_KERNELS) - {"beauville"}
+    jobs["beauville"] = parse_job(json.dumps(BEAUVILLE_JOB))
+    for name, (order, rank) in FREE_KERNELS.items():
+        job = jobs[name]
+        res = build_pi1(job.actions, job.budgets.max_cosets, job.budgets.tietze_steps)
+        table = _canonical_candidate_table(res)
+        assert table.index == res.group.order == order, name
+        assert rank == 2 * sum(a.genus for a in res.actions), name
+        inv = subgroup_abelian_invariants(res.presentation, table)
+        assert inv == AbelianInvariants(rank), name
 
 
 def test_structure_with_verify_enumerates_a_finite_pi1_once(monkeypatch):

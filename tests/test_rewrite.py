@@ -17,7 +17,7 @@ from prodquot.perm import (
     identity_perm,
     symmetric_group,
 )
-from prodquot.presentation import abelian_invariants, presentation, tietze_simplify
+from prodquot.presentation import Presentation, abelian_invariants, presentation, tietze_simplify
 from prodquot.product_quotient import build_pi1
 from prodquot.rewrite import (
     WordNotInSubgroup,
@@ -140,6 +140,21 @@ def test_kernel_subgroup_words_give_kernel_index():
 
     with pytest.raises(ValueError, match="do not generate"):
         kernel_subgroup_words([0], z3)
+
+
+def test_translated_rows_with_one_or_no_schreier_generator():
+    # the trivial subgroup of <a | a^6> (index 6) and the whole group have
+    # one Schreier generator, so one key is gathered per row; a presentation
+    # without generators has none, and its rows are empty
+    p6 = presentation(["a"], ["a^6"])
+    trivial, whole = todd_coxeter(p6, []), todd_coxeter(p6, [p6.word("a")])
+    assert trivial.index == 6
+    assert _translated_rows(p6, trivial) == _reference_rows(p6, trivial) == ([[1]] * 6, 1)
+    assert _translated_rows(p6, whole) == _reference_rows(p6, whole) == ([[6]], 1)
+    empty = Presentation((), (Word(),))
+    table = todd_coxeter(empty, [])
+    assert table.index == 1
+    assert _translated_rows(empty, table) == _reference_rows(empty, table) == ([[]], 0)
 
 
 def test_non_normal_subgroup_invariants_come_from_the_presentation():
