@@ -19,7 +19,6 @@ from .orbifold import (
     orbifold_presentation,
     quotient_signature,
     riemann_hurwitz_genus,
-    surface_presentation,
     validate_generating_vector,
 )
 from .perm import (
@@ -123,7 +122,6 @@ __all__ = [
     "invariants_from_matrix",
     "structure_from_pi1",
     "subgroup_abelian_invariants",
-    "surface_presentation",
     "symmetric_group",
     "tietze_simplify",
     "todd_coxeter",

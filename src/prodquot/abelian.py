@@ -65,9 +65,6 @@ class AbelianInvariants:
                 raise ValueError(f"torsion chain broken: {self.torsion}")
             prev = d
 
-    def is_free(self) -> bool:
-        return not self.torsion
-
 
 def smith_diagonal(matrix: Iterable[Sequence[int]]) -> list[int]:
     """Nonzero diagonal d1 | d2 | ... of the Smith normal form of matrix.

@@ -23,6 +23,8 @@ from typing import Iterable, Sequence
 from .presentation import Presentation
 from .words import Word, word_to_cols
 
+DEFAULT_MAX_COSETS = 100_000
+
 
 class CosetOverflow(RuntimeError):
     """Coset allocation exceeded the budget; retry with a larger one."""
@@ -51,11 +53,8 @@ class CosetTable:
         return len(self.table)
 
     def trace(self, coset: int, word: Word) -> int:
-        return self.trace_cols(coset, word_to_cols(word))
-
-    def trace_cols(self, coset: int, cols: Iterable[int]) -> int:
         c = coset
-        for col in cols:
+        for col in word_to_cols(word):
             c = self.table[c][col]
         return c
 
@@ -72,7 +71,7 @@ class CosetTable:
 def todd_coxeter(
     p: Presentation,
     subgroup_words: Sequence[Word] = (),
-    max_cosets: int = 100_000,
+    max_cosets: int = DEFAULT_MAX_COSETS,
 ) -> CosetTable:
     """Enumerate cosets of the subgroup generated by the given words.
 

@@ -116,10 +116,6 @@ def orbifold_presentation(s: Signature) -> Presentation:
     return orbifold_relators(s.genus, s.periods)
 
 
-def surface_presentation(genus: int) -> Presentation:
-    return orbifold_relators(genus, ())
-
-
 def riemann_hurwitz_genus(group_order: int, s: Signature) -> int:
     """Genus of the cover: 2g - 2 = |H| (2g' - 2 + sum(1 - 1/m))."""
     if group_order < 1:

@@ -127,9 +127,6 @@ class FiniteGroup:
         except KeyError:
             raise KeyError("permutation is not an element of this group") from None
 
-    def __contains__(self, perm: Permutation) -> bool:
-        return perm.images in self._index
-
     def cayley_table(self) -> list[tuple[int, ...]]:
         """Rows of element indices: ``cayley_table()[a][b]`` is a * b.
 

@@ -131,6 +131,7 @@ def quotient_presentation(p: Presentation, extra: Iterable[Word]) -> Presentatio
 # free-reduction pass where letters can cancel, and a window of letters is a
 # substring: an overlap pair is tested with ``in``, and no window is cached.
 
+DEFAULT_TIETZE_STEPS = 10_000
 _OVERLAP_MAX_RELATORS = 48
 _OVERLAP_MAX_LEN = 512
 _OVERLAP_RULE_MAX = 64
@@ -288,7 +289,7 @@ def _find_overlap(rels: list[_Relator], code: _Code) -> Optional[tuple[int, str]
     return None
 
 
-def tietze_simplify(p: Presentation, budget: int = 10000) -> TietzeResult:
+def tietze_simplify(p: Presentation, budget: int = DEFAULT_TIETZE_STEPS) -> TietzeResult:
     """Simplify a presentation without ever adding generators.
 
     Moves: free/cyclic reduction, duplicate and trivial relator removal,

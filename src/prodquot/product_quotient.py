@@ -29,7 +29,7 @@ from functools import cached_property, partial
 from typing import Iterator, Optional, Sequence
 
 from .abelian import AbelianInvariants
-from .coset import CosetOverflow, fiber_product_table, todd_coxeter
+from .coset import DEFAULT_MAX_COSETS, CosetOverflow, fiber_product_table, todd_coxeter
 from .orbifold import (
     GeneratingVector,
     Signature,
@@ -49,6 +49,7 @@ from .perm import (
     quotient,
 )
 from .presentation import (
+    DEFAULT_TIETZE_STEPS,
     Presentation,
     abelian_invariants,
     direct_product_presentation,
@@ -67,8 +68,6 @@ from .rewrite import (
 )
 from .words import Word, word_from_letters, word_product
 
-DEFAULT_MAX_COSETS = 100_000
-DEFAULT_TIETZE_STEPS = 10_000
 DEFAULT_INDEX_BOUND = 8
 _HOM_TUPLE_BOUND = 200_000
 
@@ -284,7 +283,6 @@ class Pi1Result:
     torsion_words: tuple[Word, ...]  # torsion normal forms over subgroup generators
     old_to_new: tuple[Word, ...]
     psi: tuple[int, ...]  # least G element over each surviving generator's image
-    tietze_steps: int
     max_cosets: int  # coset budget of every enumeration on this group
 
     @property
@@ -399,7 +397,7 @@ def build_pi1(
         psi.append(over[image])
     return Pi1Result(
         tz.presentation, raw, acts, sub, offsets, tuple(torsion), tuple(words), tz.old_to_new,
-        tuple(psi), tz.steps_used, max_cosets,
+        tuple(psi), max_cosets,
     )
 
 
@@ -608,45 +606,33 @@ def _maps_onto(h1: AbelianInvariants, orders: Sequence[int]) -> bool:
 
 
 def _surjections(p: Presentation, quo: FiniteGroup) -> Iterator[tuple[int, ...]]:
-    """Generator tuples of the surjections p -> quo, in product order.  On an
-    abelian quo a relator's value depends only on its exponent sums, taken
-    modulo |quo|, so it is tested through those: O(ngens), not O(length)."""
+    """Generator tuples of the surjections p -> quo, in product order.  Each
+    relator is tested as a row of (generator, exponent mod |quo|) pairs read
+    through a power table: its letters, or on an abelian quo, where its value
+    depends only on its exponent sums, those sums: O(ngens), not O(length)."""
     k = p.ngens
     n = quo.order
     if k == 0 or n**k > _HOM_TUPLE_BOUND:
         return
     mul = quo.cayley_table()
-    if all(mul[a][b] == mul[b][a] for a in range(n) for b in range(a)):
-        powers = [[0] * n for _ in range(n)]  # powers[v][e] = v^e
-        for v in range(n):
-            for e in range(1, n):
-                powers[v][e] = mul[powers[v][e - 1]][v]
-        sums = dict.fromkeys(
-            tuple((g, e % n) for g, e in enumerate(r.exponent_sums(k)) if e % n)
-            for r in p.relators
-        )
-        rows = [row for row in sums if row]
-
-        def is_hom(tup: tuple[int, ...]) -> bool:
-            for row in rows:
-                acc = 0
-                for g, e in row:
-                    acc = mul[acc][powers[tup[g]][e]]
-                if acc:
-                    return False
-            return True
-
-    else:
-
-        def is_hom(tup: tuple[int, ...]) -> bool:
-            return all(evaluate_word(r, tup, quo) == 0 for r in p.relators)
-
+    powers = [[0] * n for _ in range(n)]  # powers[v][e] = v^e
+    for v in range(n):
+        for e in range(1, n):
+            powers[v][e] = mul[powers[v][e - 1]][v]
+    abelian = all(mul[a][b] == mul[b][a] for a in range(n) for b in range(a))
+    relators = [enumerate(r.exponent_sums(k)) if abelian else r.letters for r in p.relators]
+    rows = dict.fromkeys(tuple((g, e % n) for g, e in r if e % n) for r in relators)
+    rows.pop((), None)
     for tup in itertools.product(range(n), repeat=k):
-        if not is_hom(tup):
-            continue
-        if len(quo.generated(tup)) != quo.order:
-            continue
-        yield tup
+        for row in rows:
+            acc = 0
+            for g, e in row:
+                acc = mul[acc][powers[tup[g]][e]]
+            if acc:
+                break
+        else:
+            if len(quo.generated(tup)) == n:
+                yield tup
 
 
 def _try_subgroup(

@@ -13,6 +13,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "ben
 
 import _common as bench  # noqa: E402
 import bench_enumeration  # noqa: E402
+import bench_reach  # noqa: E402
 
 
 def test_alternation_puts_the_base_first_in_even_pairs():
@@ -73,3 +74,20 @@ def test_enumeration_exits_1_on_a_digest_mismatch(monkeypatch, capsys, digest_ok
     monkeypatch.setattr(bench_enumeration, "CASES", [case])
     assert bench_enumeration.main(["--repeats", "1", "--json"]) == (0 if digest_ok else 1)
     assert '"triangle-2-3-7-mod-commutator-4"' in capsys.readouterr().out
+
+
+def test_every_allowed_unreached_name_is_a_definition():
+    assert set(bench_reach.UNREACHED_ALLOWED) <= set(bench_reach.definitions())
+
+
+def test_the_reach_probe_follows_a_bundled_job():
+    start = time.perf_counter()
+    doc = bench_reach.probe({"kummer": lambda: bench_reach.run_all_outputs("kummer")})
+    assert time.perf_counter() - start < 2
+    for key in (
+        "product_quotient.build_pi1",
+        "presentation.tietze_simplify",
+        "abelian.smith_diagonal",
+    ):
+        assert doc["reach"][key] == ["kummer"]
+    assert not doc["reach"]["coset.CosetTable.trace"]

@@ -21,7 +21,6 @@ from prodquot.orbifold import (
     orbifold_relators,
     quotient_signature,
     riemann_hurwitz_genus,
-    surface_presentation,
     validate_generating_vector,
 )
 from prodquot.perm import (
@@ -77,11 +76,11 @@ def test_orbifold_relators_shape():
 
 
 def test_surface_presentation():
-    assert surface_presentation(0).ngens == 0
-    g1 = surface_presentation(1)
+    assert orbifold_presentation(Signature.of(0)).ngens == 0
+    g1 = orbifold_presentation(Signature.of(1))
     assert g1.gens == ("a1", "b1")
     assert g1.relator_texts() == ["a1*b1*a1^-1*b1^-1"]
-    inv = abelian_invariants(surface_presentation(3))
+    inv = abelian_invariants(orbifold_presentation(Signature.of(3)))
     assert (inv.free_rank, inv.torsion) == (6, ())
 
 

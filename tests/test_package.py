@@ -40,12 +40,26 @@ UNUSED_ALLOWED = {
     "SubgroupPresentation.expand",  # oracle: a subgroup word back in the parent
     "identity_perm",  # API helper next to perm_from_cycles
     "emit_job",  # API helper: the canonical text of a parsed job
+    "Permutation.order",  # API helper: the order of one permutation
+    "Presentation.relator_texts",  # API helper: the relators as job text
+    "Word.generators",  # API helper: the generators a word uses
 }
 
 
+def _is_property(method) -> bool:
+    import ast
+
+    return any(
+        (isinstance(d, ast.Name) and d.id in ("property", "cached_property"))
+        or (isinstance(d, ast.Attribute) and d.attr in ("setter", "deleter"))
+        for d in method.decorator_list
+    )
+
+
 def test_every_definition_is_used():
-    """Every module-level function or class, and every method, is named
-    somewhere else in the package or exported in ``__all__``."""
+    """Every module-level function or class is named somewhere else in the
+    package or exported in ``__all__``; every property is read as an
+    attribute, and every other method is called as ``obj.name(...)``."""
     import ast
     from pathlib import Path
 
@@ -54,29 +68,31 @@ def test_every_definition_is_used():
         for path in sorted(Path(prodquot.__file__).parent.glob("*.py"))
     }
     named = set(prodquot.__all__)
+    attributes, called = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                attributes.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     unused = []
     for fname, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, defs):
                 continue
-            members = [(node.name, node.name)]
+            members = [(node.name, node.name in named | attributes)]
             if isinstance(node, ast.ClassDef):
-                members += [
-                    (f"{node.name}.{m.name}", m.name)
-                    for m in node.body
-                    if isinstance(m, defs) and not m.name.startswith("__")
-                ]
+                for m in node.body:
+                    if isinstance(m, defs) and not m.name.startswith("__"):
+                        uses = attributes if _is_property(m) else called
+                        members.append((f"{node.name}.{m.name}", m.name in uses))
             unused += [
                 f"{fname}: {qual}"
-                for qual, name in members
-                if name not in named and qual not in UNUSED_ALLOWED
+                for qual, used in members
+                if not used and qual not in UNUSED_ALLOWED
             ]
     assert not unused
 

@@ -766,15 +766,48 @@ def test_surjections_match_the_letter_by_letter_search(doc):
     assert admitted == {"cyclic(5)"}
 
 
-def test_surjections_match_the_letter_by_letter_search_on_a_dihedral_quotient():
-    # <a, b | a^2, b^2, (ab)^3> is S3: onto dihedral(3) through its 6
-    # automorphisms, onto cyclic(2) only by a, b -> 1; H1 = Z/2 admits both
-    p = presentation(["a", "b"], ["a^2", "b^2", "a*b*a*b*a*b"])
-    found, admitted = _catalogue_surjections(p)
-    assert found["dihedral(3)"] == 6
-    assert found["cyclic(2)"] == 1
-    assert sum(found.values()) == 7
-    assert admitted == {"cyclic(2)", "dihedral(3)"}
+@pytest.mark.parametrize(
+    "relators, counts, admitted",
+    [
+        # <a, b | a^2, b^2, (ab)^3> is S3: onto dihedral(3) through its 6
+        # automorphisms, onto cyclic(2) only by a, b -> 1; H1 = Z/2 admits both
+        (
+            ["a^2", "b^2", "a*b*a*b*a*b"],
+            {"dihedral(3)": 6, "cyclic(2)": 1},
+            {"cyclic(2)", "dihedral(3)"},
+        ),
+        # exponents below 0 and at or above |Q|, which a non-abelian
+        # quotient's rows read through the power table modulo |Q| too
+        (
+            ["a^-2", "b^8", "a*b*a*b"],
+            {"dihedral(4)": 8, "cyclic(2)": 3, "abelian(2x2)": 6},
+            {"cyclic(2)", "abelian(2x2)", "dihedral(3)", "dihedral(4)"},
+        ),
+        (
+            ["a^-6", "b^-10", "a^3*b^-5*a^-3*b^5"],
+            {
+                "dihedral(3)": 6,
+                "cyclic(2)": 3,
+                "cyclic(3)": 2,
+                "cyclic(5)": 4,
+                "cyclic(6)": 6,
+                "abelian(2x2)": 6,
+                "abelian(2x3)": 6,
+            },
+            {
+                "cyclic(2)", "cyclic(3)", "cyclic(5)", "cyclic(6)",
+                "abelian(2x2)", "abelian(2x3)", "dihedral(3)", "dihedral(4)",
+            },
+        ),
+    ],
+    ids=["S3", "D8", "exponents-6-10"],
+)
+def test_surjections_match_the_letter_by_letter_search_on_a_dihedral_quotient(
+    relators, counts, admitted
+):
+    found, got = _catalogue_surjections(presentation(["a", "b"], relators))
+    assert {desc: n for desc, n in found.items() if n} == counts
+    assert got == admitted
 
 
 def _multiples(group, m):
