@@ -16,6 +16,9 @@ between) and records the mean as "host_factor" (1 on pipebench's reference
 host, higher on a slower one).  It is context only; raw times decide.
 ``summarize`` gives each side's median, quartiles and IQR, the ratio of the
 medians and the pairs the change won.
+
+``traffic`` is the committed traffic that ``bench_layers.py`` times and
+``bench_reach.py`` probes.
 """
 
 from __future__ import annotations
@@ -40,7 +43,38 @@ if importlib.util.find_spec("prodquot") is None:
     sys.path.append(SRC)
 sys.path.append(os.path.join(ROOT, "pipebench"))
 
+import gen  # noqa: E402  (pipebench/gen.py)
 from child import HostSpeed  # noqa: E402  (pipebench/child.py)
+
+WORKLOADS = ("bundled", "classify", "beauville")
+SEEDS = (1, 9001)
+
+
+def _edited(doc: dict, **fields) -> dict:
+    """``doc`` with the given top-level fields of its job text replaced."""
+    return {**doc, "text": json.dumps({**json.loads(doc["text"]), **fields}, indent=2)}
+
+
+def traffic() -> dict[str, list[dict]]:
+    """Group name -> job documents ({"name", "text"}), 267 in all: pipebench's
+    workloads at seeds 1 and 9001 as ``gen.documents()`` draws them ("bundled:1"
+    ... "beauville:9001", 20, 101 and 2 per seed); the 20 bundled jobs, by
+    name, with every output ("jobs", read from the imported package); and
+    Beauville's reference job with verify alone at ``verify_index_bound`` 25,
+    where the search reports the index-25 canonical candidate FOUND
+    ("beauville:bound25")."""
+    import prodquot
+    from prodquot.cli import ALL_OUTPUTS
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prodquot.__file__)))
+    groups = {f"{w}:{s}": gen.documents(w, s, src) for w in WORKLOADS for s in SEEDS}
+    bundled = sorted(groups["bundled:1"], key=lambda doc: doc["name"])
+    groups["jobs"] = [_edited(doc, outputs=list(ALL_OUTPUTS)) for doc in bundled]
+    reference = groups["beauville:1"][0]
+    groups["beauville:bound25"] = [
+        _edited(reference, outputs=["verify"], budgets={"verify_index_bound": 25})
+    ]
+    return groups
 
 
 def git_sha() -> str:

@@ -9,10 +9,10 @@ the package's files; a code object's ``co_qualname`` gives its key.  (Its
 ``co_firstlineno`` would not: a decorated function's is its decorator's
 line, so every property would read as unreached.)  The sources:
 
-  * pipebench's workloads, bundled, classify and beauville, at seeds 1 and
-    9001: the documents of ``pipebench/gen.py``'s ``documents()``, each run
-    once the way pipebench's child runs them (parse, run, render);
-  * the 20 bundled jobs with all six outputs;
+  * each group of ``_common.traffic()``: pipebench's workloads at seeds 1
+    and 9001, the 20 bundled jobs with all six outputs, and Beauville's
+    reference job at verify bound 25, each document run once the way
+    pipebench's child runs it (parse, run, render);
   * every CLI subcommand, through ``cli.main``, ``selftest`` included, and
     ``run`` on a job that fails validation (exit 2) and one that overflows
     its coset budget (exit 3).
@@ -42,14 +42,11 @@ import time
 from pathlib import Path
 
 import _common as bench
-import gen  # pipebench/gen.py, on the path through _common
 
 import prodquot
 import prodquot.cli as cli
 
 PACKAGE = Path(prodquot.__file__).resolve().parent
-WORKLOADS = ("bundled", "classify", "beauville")
-SEEDS = (1, 9001)
 CLI_JOB = "kummer"
 
 # Definitions kept although no source reaches them, and why.
@@ -125,11 +122,6 @@ def run_documents(docs) -> None:
         cli.render_report(cli.run_job(cli.parse_job(doc["text"])))
 
 
-def run_all_outputs(name: str) -> None:
-    job = cli.load_bundled_job(name).with_outputs(cli.ALL_OUTPUTS)
-    cli.render_report(cli.run_job(job))
-
-
 def run_command(argv: list[str], expect: int | None = cli.EXIT_OK, stdin: str = "") -> None:
     """``prodquot *argv`` with ``stdin`` as standard input; its exit code
     must be ``expect`` unless that is None."""
@@ -144,13 +136,9 @@ def run_command(argv: list[str], expect: int | None = cli.EXIT_OK, stdin: str = 
 
 def sources() -> dict:
     """Source name -> a call that runs it."""
-    out = {}
-    for workload in WORKLOADS:
-        for seed in SEEDS:
-            docs = gen.documents(workload, seed, str(PACKAGE.parent))
-            out[f"{workload}:{seed}"] = lambda docs=docs: run_documents(docs)
-    for name in cli.bundled_job_names():
-        out[f"job:{name}"] = lambda name=name: run_all_outputs(name)
+    out = {
+        group: lambda docs=docs: run_documents(docs) for group, docs in bench.traffic().items()
+    }
     job = ["--job", CLI_JOB]
     for command in ("run", "pi1", "structure", "verify", "freeness", "enumerate-vectors"):
         out[f"cli:{command}"] = lambda argv=[command, *job]: run_command(argv)

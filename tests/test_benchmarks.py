@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import signal
 import sys
@@ -13,6 +14,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "ben
 
 import _common as bench  # noqa: E402
 import bench_enumeration  # noqa: E402
+import bench_layers  # noqa: E402
 import bench_reach  # noqa: E402
 
 
@@ -81,8 +83,9 @@ def test_every_allowed_unreached_name_is_a_definition():
 
 
 def test_the_reach_probe_follows_a_bundled_job():
+    (kummer,) = [doc for doc in bench.traffic()["jobs"] if doc["name"] == "kummer"]
     start = time.perf_counter()
-    doc = bench_reach.probe({"kummer": lambda: bench_reach.run_all_outputs("kummer")})
+    doc = bench_reach.probe({"kummer": lambda: bench_reach.run_documents([kummer])})
     assert time.perf_counter() - start < 2
     for key in (
         "product_quotient.build_pi1",
@@ -91,3 +94,50 @@ def test_the_reach_probe_follows_a_bundled_job():
     ):
         assert doc["reach"][key] == ["kummer"]
     assert not doc["reach"]["coset.CosetTable.trace"]
+
+
+def test_the_traffic_is_the_frozen_groups():
+    sizes = {name: len(docs) for name, docs in bench.traffic().items()}
+    assert list(sizes) == list(bench_layers.REPORT_DIGESTS)
+    assert list(sizes.values()) == [20, 20, 101, 101, 2, 2, 20, 1]
+
+
+def test_every_layer_name_is_a_definition():
+    names = {key for keys in bench_layers.LAYERS.values() for key in keys}
+    assert names <= set(bench_reach.definitions())
+
+
+@pytest.mark.parametrize("digest_ok", [True, False])
+def test_layers_exit_1_on_a_digest_mismatch(monkeypatch, capsys, digest_ok):
+    traffic = {"bundled:1": bench.traffic()["bundled:1"]}
+    monkeypatch.setattr(bench, "traffic", lambda: traffic)
+    monkeypatch.setattr(
+        bench,
+        "run_child",  # the child in this process, so that it sees the cut traffic
+        lambda script, src, argv, timeout=None: {
+            **bench_layers.child(argparse.Namespace(repeats=1)),
+            "host_factor": 1.0,
+        },
+    )
+    if not digest_ok:
+        monkeypatch.setitem(bench_layers.REPORT_DIGESTS, "bundled:1", "0" * 64)
+    start = time.perf_counter()
+    assert bench_layers.main(["--runs", "1", "--repeats", "1"]) == (0 if digest_ok else 1)
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr().out
+    assert ("FAILED digest" in out) != digest_ok
+
+
+def test_layer_self_times_add_up_to_at_most_the_document_time():
+    import prodquot.cli as cli
+
+    parse_job = cli.parse_job
+    # verify runs abelianized RS, which runs SNF: on this job, timed with
+    # their callees' time the layers add up to more than the document's time
+    (doc,) = [d for d in bench.traffic()["bundled:1"] if d["name"] == "s3-free-pair"]
+    with bench_layers.Layers() as layers:
+        seconds, split, _, _ = bench_layers.run_pass([doc], layers)
+    assert cli.parse_job is parse_job  # the wrappers are gone
+    assert all(s >= 0 for s in split.values())
+    assert all(split[layer] > 0 for layer in ("verify", "abel_rs", "snf", "tietze"))
+    assert sum(split.values()) <= seconds
